@@ -125,9 +125,9 @@ def cmd_select(args) -> int:
     if report.mode == "aggregated":
         print(f"selected: {{{', '.join(report.selected)}}}")
         for decision in report.excluded:
-            print(f"excluded {decision.name}: {'; '.join(decision.reasons)}")
+            print(f"excluded {decision.subject}: {'; '.join(decision.reasons)}")
     else:
-        pairs = ", ".join("-".join(p) for p in report.selected_pairs)
+        pairs = ", ".join("-".join(p) for p in report.selected)
         print(f"selected pairs: {{{pairs}}}")
     print(f"wrote {args.out}")
     return 0

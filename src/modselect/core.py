@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +27,12 @@ class ScoreMatrix:
 
     values: np.ndarray
     class_names: tuple[str, ...] = ()
+    shape_error: ClassVar[str] = "scores must be a 2-D samples x classes matrix"
 
     def __post_init__(self):
         arr = _frozen_array(self.values, np.float64)
         if arr.ndim != 2:
-            raise ValueError("scores must be a 2-D samples x classes matrix")
+            raise ValueError(self.shape_error)
         n_samples, n_classes = arr.shape
         if n_samples < 1:
             raise ValueError("scores need at least one sample")
@@ -59,11 +60,12 @@ class EmbeddingMatrix:
     """Latent vectors from one classifier (S samples x d dimensions)."""
 
     values: np.ndarray
+    shape_error: ClassVar[str] = "embeddings must be a 2-D samples x dims matrix"
 
     def __post_init__(self):
         arr = _frozen_array(self.values, np.float64)
         if arr.ndim != 2:
-            raise ValueError("embeddings must be a 2-D samples x dims matrix")
+            raise ValueError(self.shape_error)
         if arr.shape[0] < 1:
             raise ValueError("embeddings need at least one sample")
         if arr.shape[1] < 1:
@@ -77,6 +79,21 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+
+def as_matrix(data, kind: type = ScoreMatrix) -> np.ndarray:
+    """The 2-D float64 array behind ``data``.
+
+    ``kind`` is :class:`ScoreMatrix` or :class:`EmbeddingMatrix`: an instance
+    yields its values, anything else is converted and must be 2-D, or
+    ``ValueError`` carries that kind's shape message.
+    """
+    if isinstance(data, kind):
+        return data.values
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(kind.shape_error)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,14 +275,31 @@ def validate_bundle(bundle: Bundle) -> ValidationResult:
     return ValidationResult(tuple(out))
 
 
-def _combo_key(universe: Sequence[str], combo: Iterable[str]) -> frozenset[str]:
-    key = frozenset(combo)
+def _combo_key(universe: Iterable[str], combo: Iterable[str]) -> frozenset[str]:
+    names = tuple(combo)
+    key = frozenset(names)
     if not key:
         raise ValueError("modality combination must be nonempty")
     unknown = key.difference(universe)
     if unknown:
         raise KeyError(f"unknown modalities in combination: {sorted(unknown)}")
+    if len(key) != len(names):
+        raise ValueError(f"modality combination {list(names)} repeats a name")
     return key
+
+
+def _distinct(entries: Iterable[tuple]) -> dict:
+    """Collect ``(key, value)`` entries, rejecting a key given twice.
+
+    A key is a combination key or a ``(combination key, strategy)`` pair.
+    """
+    out = {}
+    for key, value in entries:
+        if key in out:
+            combo = key[0] if isinstance(key, tuple) else key
+            raise ValueError(f"duplicate entry for combination {sorted(combo)}")
+        out[key] = float(value)
+    return out
 
 
 def all_combinations(universe: Sequence[str]) -> list[tuple[str, ...]]:
@@ -330,21 +364,22 @@ class AccuracyTable:
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "per_strategy", dict(self.per_strategy))
         object.__setattr__(self, "averaged", dict(self.averaged))
+        # Lookups check names against a set instead of rebuilding one per call.
+        object.__setattr__(self, "_known", frozenset(universe))
 
     @classmethod
     def from_averaged(cls, modalities, averaged, note: str = "") -> "AccuracyTable":
         universe = tuple(modalities)
-        mapped = {_combo_key(universe, c): float(v) for c, v in averaged.items()}
+        mapped = _distinct((_combo_key(universe, c), v) for c, v in averaged.items())
         return cls(universe, (), {}, mapped, note)
 
     @classmethod
     def from_per_strategy(cls, modalities, strategies, per_strategy, note: str = "") -> "AccuracyTable":
         universe = tuple(modalities)
         strategies = tuple(strategies)
-        mapped = {
-            (_combo_key(universe, c), str(s)): float(v)
-            for (c, s), v in per_strategy.items()
-        }
+        mapped = _distinct(
+            ((_combo_key(universe, c), str(s)), v) for (c, s), v in per_strategy.items()
+        )
         averaged = {}
         for combo in all_combinations(universe):
             key = frozenset(combo)
@@ -364,7 +399,7 @@ class AccuracyTable:
 
     def value(self, combo, strategy: str | None = None) -> float:
         """Accuracy fraction for a combination; strategy=None reads the average."""
-        key = _combo_key(self.modalities, combo)
+        key = _combo_key(self._known, combo)
         if strategy is None:
             return self.averaged[key]
         if not self.strategies:
@@ -404,6 +439,8 @@ class AccuracyTable:
         per_strategy = {}
         for row in payload["entries"]:
             combo = tuple(row["combination"])
+            if combo in averaged:
+                raise ValueError(f"duplicate entry for combination {sorted(combo)}")
             averaged[combo] = float(row["averaged"])
             for s, v in row.get("strategies", {}).items():
                 per_strategy[(combo, s)] = float(v)

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import enum
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AccuracyTable, Bundle, LabelVector, ScoreMatrix
+from .core import AccuracyTable, Bundle, LabelVector, all_combinations, as_matrix
 
 
 class FusionStrategy(enum.Enum):
@@ -50,15 +49,6 @@ def parse_strategies(spec: str) -> tuple[FusionStrategy, ...]:
     return tuple(out)
 
 
-def _as_matrix(scores) -> np.ndarray:
-    if isinstance(scores, ScoreMatrix):
-        return scores.values
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("scores must be a 2-D samples x classes matrix")
-    return arr
-
-
 def _borda_points(matrix: np.ndarray) -> np.ndarray:
     # Rank 0 (highest score) earns C-1 points, the lowest rank earns 0.
     # Stable sort on the negated scores breaks score ties in favour of the
@@ -77,7 +67,7 @@ def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
     The fused rows are not renormalized to the simplex; only their argmax is
     meaningful downstream. Borda count returns summed rank points.
     """
-    matrices = [_as_matrix(s) for s in scores]
+    matrices = [as_matrix(s) for s in scores]
     if not matrices:
         raise ValueError("fuse needs at least one score matrix")
     shape = matrices[0].shape
@@ -104,7 +94,7 @@ def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
 
 def predict(scores) -> LabelVector:
     """Argmax decision per row; ties go to the lowest class index."""
-    matrix = _as_matrix(scores)
+    matrix = as_matrix(scores)
     if matrix.shape[1] < 2:
         raise ValueError("prediction needs at least two classes")
     return LabelVector(np.argmax(matrix, axis=1))
@@ -167,11 +157,7 @@ def sweep(bundle: Bundle, strategies: Iterable[FusionStrategy] = ALL_STRATEGIES)
     matrices = {rec.name: rec.scores.values for rec in bundle.modalities}
     truth = bundle.labels.values
     n_classes = bundle.n_classes
-    combos = [
-        combo
-        for size in range(1, len(names) + 1)
-        for combo in itertools.combinations(names, size)
-    ]
+    combos = all_combinations(names)
 
     def evaluate(combo: tuple[str, ...]) -> dict[FusionStrategy, float]:
         if len(combo) == 1:

@@ -7,28 +7,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Bundle, EmbeddingMatrix, ScoreMatrix
+from .core import Bundle, EmbeddingMatrix, as_matrix
 
 # Per-class standard deviations below this are treated as degenerate.
 DEGENERATE_STD = 1e-12
-
-
-def _scores(z) -> np.ndarray:
-    if isinstance(z, ScoreMatrix):
-        return z.values
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("scores must be a 2-D samples x classes matrix")
-    return arr
-
-
-def _embeddings(h) -> np.ndarray:
-    if isinstance(h, EmbeddingMatrix):
-        return h.values
-    arr = np.asarray(h, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("embeddings must be a 2-D samples x dims matrix")
-    return arr
 
 
 def correlation_vector(z_m, z_n) -> np.ndarray:
@@ -37,8 +19,8 @@ def correlation_vector(z_m, z_n) -> np.ndarray:
     Uses population (divide-by-S) moments. Classes where either side's
     standard deviation falls below ``DEGENERATE_STD`` are returned as NaN.
     """
-    a = _scores(z_m)
-    b = _scores(z_n)
+    a = as_matrix(z_m)
+    b = as_matrix(z_n)
     if a.shape != b.shape:
         raise ValueError("incompatible score matrices")
     if a.shape[0] < 2:
@@ -54,13 +36,20 @@ def correlation_vector(z_m, z_n) -> np.ndarray:
     return out
 
 
-def pair_correlation(z_m, z_n) -> float:
-    """Mean of the defined per-class correlations between two modalities."""
-    vec = correlation_vector(z_m, z_n)
+def _defined_mean(vec: np.ndarray) -> float | None:
+    """Mean over the defined (non-NaN) classes; None when no class is defined."""
     defined = ~np.isnan(vec)
     if not defined.any():
-        raise ValueError("degenerate scores")
+        return None
     return float(vec[defined].mean())
+
+
+def pair_correlation(z_m, z_n) -> float:
+    """Mean of the defined per-class correlations between two modalities."""
+    rho = _defined_mean(correlation_vector(z_m, z_n))
+    if rho is None:
+        raise ValueError("degenerate scores")
+    return rho
 
 
 def pair_mmd(h_m, h_n) -> float:
@@ -68,8 +57,8 @@ def pair_mmd(h_m, h_n) -> float:
 
     Sample counts may differ; the embedding dimension may not.
     """
-    a = _embeddings(h_m)
-    b = _embeddings(h_n)
+    a = as_matrix(h_m, EmbeddingMatrix)
+    b = as_matrix(h_n, EmbeddingMatrix)
     if a.shape[1] != b.shape[1]:
         raise ValueError("incomparable embedding spaces")
     return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
@@ -140,11 +129,8 @@ def correlation_matrix(bundle: Bundle) -> PairMetricMatrix:
     valid = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(i, n):
-            try:
-                rho = pair_correlation(records[i].scores, records[j].scores)
-            except ValueError as err:
-                if "degenerate" not in str(err):
-                    raise
+            rho = _defined_mean(correlation_vector(records[i].scores, records[j].scores))
+            if rho is None:
                 continue
             values[i, j] = values[j, i] = rho
             valid[i, j] = valid[j, i] = True

@@ -98,33 +98,23 @@ class Threshold:
         return {"value": self.value, "source": self.source}
 
 
-@dataclass(frozen=True)
-class ModalityDecision:
-    name: str
-    rho: float
-    mmd: float | None
-    rho_pass: bool
-    mmd_pass: bool | None
-    basis: str  # both | correlation-only
-    selected: bool
-    reasons: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "correlation": self.rho,
-            "discrepancy": self.mmd,
-            "correlation_pass": self.rho_pass,
-            "discrepancy_pass": self.mmd_pass,
-            "basis": self.basis,
-            "selected": self.selected,
-            "reasons": list(self.reasons),
-        }
+def _subject_json(subject: str | tuple[str, str]) -> tuple[str, str | list[str]]:
+    """JSON key and value of a decision's subject: ``name`` or ``pair``."""
+    if isinstance(subject, tuple):
+        return "pair", list(subject)
+    return "name", subject
 
 
 @dataclass(frozen=True)
-class PairDecision:
-    pair: tuple[str, str]
+class Decision:
+    """Outcome of the threshold rule for one subject.
+
+    ``subject`` is a modality name in aggregated mode and an ``(m, n)`` pair
+    in pairs mode. A metric missing for the subject is None, and so is its
+    pass flag.
+    """
+
+    subject: str | tuple[str, str]
     rho: float | None
     mmd: float | None
     rho_pass: bool | None
@@ -134,8 +124,9 @@ class PairDecision:
     reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        key, value = _subject_json(self.subject)
         return {
-            "pair": list(self.pair),
+            key: value,
             "correlation": self.rho,
             "discrepancy": self.mmd,
             "correlation_pass": self.rho_pass,
@@ -144,6 +135,13 @@ class PairDecision:
             "selected": self.selected,
             "reasons": list(self.reasons),
         }
+
+
+# JSON keys of the decision list, the kept subjects and the exclusions.
+_REPORT_KEYS = {
+    "aggregated": ("modalities", "selected", "excluded"),
+    "pairs": ("pairs", "selected_pairs", "excluded_pairs"),
+}
 
 
 @dataclass(frozen=True)
@@ -157,28 +155,20 @@ class SelectionReport:
     interpolate: bool
     rho_threshold: Threshold
     mmd_threshold: Threshold
-    decisions: tuple[ModalityDecision, ...] = ()
-    pair_decisions: tuple[PairDecision, ...] = ()
+    decisions: tuple[Decision, ...] = ()
     notes: tuple[str, ...] = ()
     correlations: PairMetricMatrix | None = None
     discrepancies: PairMetricMatrix | None = None
     aggregates: AggregatedMetrics | None = None
 
     @property
-    def selected(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.decisions if d.selected)
+    def selected(self) -> tuple:
+        """Kept subjects: modality names, or ``(m, n)`` pairs in pairs mode."""
+        return tuple(d.subject for d in self.decisions if d.selected)
 
     @property
-    def excluded(self) -> tuple[ModalityDecision, ...]:
+    def excluded(self) -> tuple[Decision, ...]:
         return tuple(d for d in self.decisions if not d.selected)
-
-    @property
-    def selected_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(d.pair for d in self.pair_decisions if d.selected)
-
-    @property
-    def excluded_pairs(self) -> tuple[PairDecision, ...]:
-        return tuple(d for d in self.pair_decisions if not d.selected)
 
     def to_dict(self) -> dict:
         from . import __version__
@@ -204,19 +194,13 @@ class SelectionReport:
                 "discrepancy": self.mmd_threshold.to_dict(),
             },
         }
-        if self.mode == "aggregated":
-            out["modalities"] = [d.to_dict() for d in self.decisions]
-            out["selected"] = list(self.selected)
-            out["excluded"] = [
-                {"name": d.name, "reasons": list(d.reasons)} for d in self.excluded
-            ]
-        else:
-            out["pairs"] = [d.to_dict() for d in self.pair_decisions]
-            out["selected_pairs"] = [list(p) for p in self.selected_pairs]
-            out["excluded_pairs"] = [
-                {"pair": list(d.pair), "reasons": list(d.reasons)}
-                for d in self.excluded_pairs
-            ]
+        decisions_key, selected_key, excluded_key = _REPORT_KEYS[self.mode]
+        out[decisions_key] = [d.to_dict() for d in self.decisions]
+        out[selected_key] = [_subject_json(s)[1] for s in self.selected]
+        out[excluded_key] = [
+            dict([_subject_json(d.subject), ("reasons", list(d.reasons))])
+            for d in self.excluded
+        ]
         out["notes"] = list(self.notes)
         intermediate = {}
         if self.correlations is not None:
@@ -230,26 +214,79 @@ class SelectionReport:
         return out
 
 
-def _rho_threshold(values: list[float], config: ThresholdConfig) -> Threshold:
-    if config.delta_rho is not None:
-        return Threshold(float(config.delta_rho), "override")
-    return Threshold(winsorized_mean(values, config.lam, config.interpolate), "computed")
-
-
-def _mmd_threshold(values: list[float], config: ThresholdConfig) -> Threshold:
-    if config.delta_mmd is not None:
-        return Threshold(float(config.delta_mmd), "override")
+def _threshold(values: list[float], override: float | None, config: ThresholdConfig) -> Threshold:
+    if override is not None:
+        return Threshold(float(override), "override")
     if not values:
         return Threshold(None, "unavailable")
     return Threshold(winsorized_mean(values, config.lam, config.interpolate), "computed")
 
 
-def _combine(rho_pass: bool, mmd_pass: bool | None, consensus: str) -> bool:
-    if mmd_pass is None:
-        return rho_pass
-    if consensus == "or":
-        return rho_pass or mmd_pass
-    return rho_pass and mmd_pass
+def _decide(
+    subject: str | tuple[str, str],
+    rho: float | None,
+    mmd: float | None,
+    rho_thr: Threshold,
+    mmd_thr: Threshold,
+    consensus: str,
+) -> Decision:
+    """The selection rule for one subject.
+
+    Each available metric is compared inclusively with its threshold. A
+    subject with both is kept when either passes (``or``) or both pass
+    (``and``); a subject with one is judged on it alone; a subject with
+    neither (only a pair can lack both) is dropped.
+    """
+    rho_pass = None if rho is None else rho >= rho_thr.value
+    mmd_pass = None if mmd is None or mmd_thr.value is None else mmd <= mmd_thr.value
+    if rho_pass is None:
+        basis = "none" if mmd_pass is None else "discrepancy-only"
+    else:
+        basis = "correlation-only" if mmd_pass is None else "both"
+    passes = [p for p in (rho_pass, mmd_pass) if p is not None]
+    selected = bool(passes) and (any(passes) if consensus == "or" else all(passes))
+    reasons = []
+    if not passes:
+        reasons.append("no valid metrics for this pair")
+    elif not selected:
+        if rho_pass is False:
+            reasons.append(f"correlation {rho:.6g} below threshold {rho_thr.value:.6g}")
+        if mmd_pass is False:
+            reasons.append(
+                f"embedding discrepancy {mmd:.6g} above threshold {mmd_thr.value:.6g}"
+            )
+    return Decision(subject, rho, mmd, rho_pass, mmd_pass, basis, selected, tuple(reasons))
+
+
+def _select(
+    mode: str,
+    subjects: list,
+    rho: list[float | None],
+    mmd: list[float | None],
+    notes: list[str],
+    config: ThresholdConfig,
+) -> SelectionReport:
+    """Threshold the known values, then apply :func:`_decide` to every subject."""
+    rho_thr = _threshold([v for v in rho if v is not None], config.delta_rho, config)
+    mmd_thr = _threshold([v for v in mmd if v is not None], config.delta_mmd, config)
+    return SelectionReport(
+        mode=mode,
+        consensus=config.consensus,
+        lam=config.lam,
+        exclude_self=config.exclude_self,
+        interpolate=config.interpolate,
+        rho_threshold=rho_thr,
+        mmd_threshold=mmd_thr,
+        decisions=tuple(
+            _decide(s, r, d, rho_thr, mmd_thr, config.consensus)
+            for s, r, d in zip(subjects, rho, mmd)
+        ),
+        notes=tuple(notes),
+    )
+
+
+def _alone_note(name: str) -> str:
+    return f"modality {name!r} judged on correlation alone (no comparable embeddings)"
 
 
 def aggregated_select(
@@ -266,54 +303,10 @@ def aggregated_select(
     names = metrics.names
     if len(names) < 2:
         raise ValueError("selection needs alternatives")
-    rho_thr = _rho_threshold([metrics.rho[m] for m in names], config)
-    mmd_vals = [metrics.mmd[m] for m in names if metrics.mmd[m] is not None]
-    mmd_thr = _mmd_threshold(mmd_vals, config)
-
-    decisions = []
-    notes = []
-    for name in names:
-        rho = metrics.rho[name]
-        mmd = metrics.mmd[name]
-        rho_pass = rho >= rho_thr.value
-        if mmd is None or mmd_thr.value is None:
-            mmd_pass = None
-            basis = "correlation-only"
-        else:
-            mmd_pass = mmd <= mmd_thr.value
-            basis = "both"
-        selected = _combine(rho_pass, mmd_pass, config.consensus)
-        reasons = []
-        if not selected:
-            if not rho_pass:
-                reasons.append(
-                    f"correlation {rho:.6g} below threshold {rho_thr.value:.6g}"
-                )
-            if mmd_pass is False:
-                reasons.append(
-                    f"embedding discrepancy {mmd:.6g} above threshold {mmd_thr.value:.6g}"
-                )
-        if basis == "correlation-only":
-            notes.append(
-                f"modality {name!r} judged on correlation alone (no comparable embeddings)"
-            )
-        decisions.append(
-            ModalityDecision(
-                name, rho, mmd, rho_pass, mmd_pass, basis, selected, tuple(reasons)
-            )
-        )
-    return SelectionReport(
-        mode="aggregated",
-        consensus=config.consensus,
-        lam=config.lam,
-        exclude_self=config.exclude_self,
-        interpolate=config.interpolate,
-        rho_threshold=rho_thr,
-        mmd_threshold=mmd_thr,
-        decisions=tuple(decisions),
-        notes=tuple(notes),
-        aggregates=metrics,
-    )
+    mmd = [metrics.mmd[m] for m in names]
+    notes = [_alone_note(m) for m, d in zip(names, mmd) if d is None]
+    report = _select("aggregated", names, [metrics.rho[m] for m in names], mmd, notes, config)
+    return replace(report, aggregates=metrics)
 
 
 def pairs_select(
@@ -333,86 +326,23 @@ def pairs_select(
     if discrepancies is not None and discrepancies.names != names:
         raise ValueError("pair matrices cover different modalities")
 
+    def known(matrix: PairMetricMatrix | None, m: str, n: str) -> float | None:
+        if matrix is None or not matrix.is_valid(m, n):
+            return None
+        return matrix.value(m, n)
+
     pair_list = correlations.pairs()
-    rho_vals = [
-        correlations.value(m, n) for m, n in pair_list if correlations.is_valid(m, n)
-    ]
-    if not rho_vals:
+    rho = [known(correlations, m, n) for m, n in pair_list]
+    if all(v is None for v in rho):
         raise ValueError("degenerate scores")
-    rho_thr = _rho_threshold(rho_vals, config)
-    mmd_vals = []
-    if discrepancies is not None:
-        mmd_vals = [
-            discrepancies.value(m, n)
-            for m, n in pair_list
-            if discrepancies.is_valid(m, n)
-        ]
-    mmd_thr = _mmd_threshold(mmd_vals, config)
-
-    decisions = []
-    for m, n in pair_list:
-        rho = correlations.value(m, n) if correlations.is_valid(m, n) else None
-        mmd = None
-        if discrepancies is not None and discrepancies.is_valid(m, n):
-            mmd = discrepancies.value(m, n)
-        rho_pass = None if rho is None else rho >= rho_thr.value
-        mmd_pass = None
-        if mmd is not None and mmd_thr.value is not None:
-            mmd_pass = mmd <= mmd_thr.value
-        if rho_pass is None and mmd_pass is None:
-            basis, selected = "none", False
-            reasons = ["no valid metrics for this pair"]
-        elif rho_pass is None:
-            basis, selected = "discrepancy-only", bool(mmd_pass)
-            reasons = (
-                []
-                if selected
-                else [f"embedding discrepancy {mmd:.6g} above threshold {mmd_thr.value:.6g}"]
-            )
-        elif mmd_pass is None:
-            basis, selected = "correlation-only", rho_pass
-            reasons = (
-                []
-                if selected
-                else [f"correlation {rho:.6g} below threshold {rho_thr.value:.6g}"]
-            )
-        else:
-            basis = "both"
-            selected = _combine(rho_pass, mmd_pass, config.consensus)
-            reasons = []
-            if not selected:
-                if not rho_pass:
-                    reasons.append(
-                        f"correlation {rho:.6g} below threshold {rho_thr.value:.6g}"
-                    )
-                if not mmd_pass:
-                    reasons.append(
-                        f"embedding discrepancy {mmd:.6g} above threshold {mmd_thr.value:.6g}"
-                    )
-        decisions.append(
-            PairDecision((m, n), rho, mmd, rho_pass, mmd_pass, basis, selected, tuple(reasons))
-        )
-
-    notes = []
-    for name in names:
-        has_mmd_pair = discrepancies is not None and any(
-            discrepancies.is_valid(name, other) for other in names if other != name
-        )
-        if not has_mmd_pair:
-            notes.append(
-                f"modality {name!r} judged on correlation alone (no comparable embeddings)"
-            )
-    return SelectionReport(
-        mode="pairs",
-        consensus=config.consensus,
-        lam=config.lam,
-        exclude_self=config.exclude_self,
-        interpolate=config.interpolate,
-        rho_threshold=rho_thr,
-        mmd_threshold=mmd_thr,
-        pair_decisions=tuple(decisions),
-        notes=tuple(notes),
-    )
+    mmd = [known(discrepancies, m, n) for m, n in pair_list]
+    notes = [
+        _alone_note(name)
+        for name in names
+        if discrepancies is None
+        or not any(discrepancies.is_valid(name, other) for other in names if other != name)
+    ]
+    return _select("pairs", pair_list, rho, mmd, notes, config)
 
 
 def run_modselect(bundle: Bundle, config: ThresholdConfig = ThresholdConfig()) -> SelectionReport:

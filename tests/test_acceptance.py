@@ -230,7 +230,7 @@ def test_criterion_5_oracle_recovery():
         pair_report = pairs_select(
             report.correlations, report.discrepancies, ThresholdConfig(mode="pairs")
         )
-        if not all(set(pair) <= planted for pair in pair_report.selected_pairs):
+        if not all(set(pair) <= planted for pair in pair_report.selected):
             pairs_clean = False
     _criterion(
         5,

@@ -200,3 +200,31 @@ class TestAccuracyTable:
             table.value(("zz",))
         with pytest.raises(ValueError):
             table.value(())
+
+    def test_repeated_name_rejected(self):
+        averaged = {("a",): 0.5, ("b",): 0.7, ("a", "b"): 0.8}
+        with pytest.raises(ValueError, match=r"\['a', 'a'\] repeats a name"):
+            AccuracyTable.from_averaged(("a", "b"), averaged | {("a", "a"): 0.9})
+        table = AccuracyTable.from_averaged(("a", "b"), averaged)
+        with pytest.raises(ValueError, match="repeats a name"):
+            table.value(("a", "a"))
+
+    def test_duplicate_entries_rejected(self):
+        averaged = {("a",): 0.5, ("b",): 0.7, ("a", "b"): 0.8}
+        with pytest.raises(ValueError, match=r"duplicate entry for combination \['a', 'b'\]"):
+            AccuracyTable.from_averaged(("a", "b"), averaged | {("b", "a"): 0.6})
+        per_strategy = {(c, "sum"): v for c, v in averaged.items()}
+        with pytest.raises(ValueError, match=r"duplicate entry for combination \['a', 'b'\]"):
+            AccuracyTable.from_per_strategy(
+                ("a", "b"), ("sum",), per_strategy | {(("b", "a"), "sum"): 0.6}
+            )
+
+    @pytest.mark.parametrize("repeat", [["b", "a"], ["a", "b"]])
+    def test_from_dict_duplicate_entries_rejected(self, repeat):
+        rows = [(["a"], 0.5), (["b"], 0.7), (["a", "b"], 0.8), (repeat, 0.6)]
+        payload = {
+            "modalities": ["a", "b"],
+            "entries": [{"combination": c, "averaged": v} for c, v in rows],
+        }
+        with pytest.raises(ValueError, match=r"duplicate entry for combination \['a', 'b'\]"):
+            AccuracyTable.from_dict(payload)

@@ -145,6 +145,16 @@ def test_matrices_from_bundle(rng):
     np.testing.assert_array_equal(disc.values, disc.values.T)
 
 
+def test_constant_modality_invalidates_only_its_pairs(rng):
+    scores = [simplex_rows(rng, 25, 3) for _ in range(3)] + [np.full((25, 3), 1.0 / 3)]
+    bundle = make_bundle(scores, names=["a", "b", "c", "flat"])
+    corr = correlation_matrix(bundle)
+    expected = np.ones((4, 4), dtype=bool)
+    expected[3, :] = expected[:, 3] = False  # every pair with "flat", its self-pair too
+    np.testing.assert_array_equal(corr.valid, expected)
+    assert corr.value("a", "b") == pair_correlation(scores[0], scores[1])
+
+
 def test_aggregate_examples():
     names = ("a", "b", "c")
     values = np.full((3, 3), 2.0)

@@ -154,7 +154,7 @@ class TestAggregatedSelect:
         report = aggregated_select(
             _metrics(rho, mmd), ThresholdConfig(delta_rho=0.3, delta_mmd=2.0)
         )
-        decision = {d.name: d for d in report.decisions}["YOLO"]
+        decision = {d.subject: d for d in report.decisions}["YOLO"]
         assert decision.basis == "correlation-only"
         assert not decision.selected  # low rho, no mmd escape hatch
         assert any("judged on correlation alone" in n for n in report.notes)
@@ -183,7 +183,7 @@ class TestAggregatedSelect:
         rho = {m: float(rng.random()) for m in MODALITIES}
         mmd = {m: float(rng.random() * 10) for m in MODALITIES}
         report = aggregated_select(_metrics(rho, mmd))
-        assert set(report.selected) | {d.name for d in report.excluded} == set(MODALITIES)
+        assert set(report.selected) | {d.subject for d in report.excluded} == set(MODALITIES)
         assert len(report.selected) + len(report.excluded) == len(MODALITIES)
 
     def test_excluded_reasons_name_failed_criterion(self):
@@ -193,7 +193,7 @@ class TestAggregatedSelect:
             _metrics(rho, mmd), ThresholdConfig(delta_rho=0.5, delta_mmd=5.0)
         )
         (decision,) = report.excluded
-        assert decision.name == "OF"
+        assert decision.subject == "OF"
         assert any("correlation 0.1 below threshold 0.5" in r for r in decision.reasons)
         assert any("discrepancy 9 above threshold 5" in r for r in decision.reasons)
 
@@ -221,16 +221,16 @@ class TestPairsSelect:
         rho = _pair_matrix(names, {("a", "b"): 0.4, ("a", "c"): 0.4, ("b", "c"): 0.4, "self": 1.0})
         mmd = _pair_matrix(names, {("a", "b"): 2.0, ("a", "c"): 2.0, ("b", "c"): 2.0})
         report = pairs_select(rho, mmd)
-        assert set(report.selected_pairs) == {("a", "b"), ("a", "c"), ("b", "c")}
+        assert set(report.selected) == {("a", "b"), ("a", "c"), ("b", "c")}
 
     def test_two_modality_universe(self):
         names = ("a", "b")
         rho = _pair_matrix(names, {("a", "b"): 0.4, "self": 1.0})
         mmd = _pair_matrix(names, {("a", "b"): 2.0})
         report = pairs_select(rho, mmd)
-        assert report.selected_pairs == (("a", "b"),)
+        assert report.selected == (("a", "b"),)
         strict = pairs_select(rho, mmd, ThresholdConfig(delta_rho=0.9, delta_mmd=1.0, consensus="and"))
-        assert strict.selected_pairs == ()
+        assert strict.selected == ()
 
     def test_invalid_mmd_pair_judged_on_rho(self):
         names = ("a", "b", "c")
@@ -241,10 +241,30 @@ class TestPairsSelect:
             invalid={("a", "c"), ("b", "c")},
         )
         report = pairs_select(rho, mmd, ThresholdConfig(delta_rho=0.5, delta_mmd=10.0))
-        decisions = {d.pair: d for d in report.pair_decisions}
+        decisions = {d.subject: d for d in report.decisions}
         assert decisions[("a", "c")].basis == "correlation-only"
         assert not decisions[("a", "c")].selected
         assert decisions[("a", "b")].selected
+
+    def test_pairs_missing_a_metric(self):
+        names = ("a", "b", "c")
+        rho = _pair_matrix(
+            names, {("a", "b"): 0.9, "self": 1.0}, invalid={("a", "c"), ("b", "c")}
+        )
+        mmd = _pair_matrix(names, {("a", "b"): 1.0, ("a", "c"): 3.0}, invalid={("b", "c")})
+        for consensus in ("or", "and"):
+            config = ThresholdConfig(delta_rho=0.5, delta_mmd=2.0, consensus=consensus)
+            report = pairs_select(rho, mmd, config)
+            decisions = {d.subject: d for d in report.decisions}
+            only_mmd = decisions[("a", "c")]
+            assert only_mmd.basis == "discrepancy-only"
+            assert (only_mmd.rho, only_mmd.rho_pass, only_mmd.mmd_pass) == (None, None, False)
+            assert only_mmd.reasons == ("embedding discrepancy 3 above threshold 2",)
+            neither = decisions[("b", "c")]
+            assert neither.basis == "none"
+            assert (neither.rho, neither.mmd, neither.selected) == (None, None, False)
+            assert neither.reasons == ("no valid metrics for this pair",)
+            assert report.selected == (("a", "b"),)
 
     def test_needs_alternatives(self):
         rho = PairMetricMatrix(("solo",), np.ones((1, 1)), np.ones((1, 1), dtype=bool))
@@ -274,8 +294,8 @@ class TestRunModselect:
     def test_pairs_mode_selects_only_good_pairs(self):
         bundle, planted = generate(default_scenario(seed=42))
         report = run_modselect(bundle, ThresholdConfig(mode="pairs"))
-        assert report.selected_pairs
-        for m, n in report.selected_pairs:
+        assert report.selected
+        for m, n in report.selected:
             assert {m, n} <= planted
 
     def test_labels_never_consulted(self):
@@ -287,7 +307,7 @@ class TestRunModselect:
     def test_modality_without_embeddings_flagged(self):
         bundle, _ = generate(default_scenario(seed=5, samples=400))
         report = run_modselect(bundle)
-        decision = {d.name: d for d in report.decisions}["random1"]
+        decision = {d.subject: d for d in report.decisions}["random1"]
         assert decision.basis == "correlation-only"
         assert any("random1" in n for n in report.notes)
 
