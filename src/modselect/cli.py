@@ -47,9 +47,9 @@ def cmd_evaluate(args) -> int:
     }
     dataio.dump_json(payload, base.with_suffix(".json"))
     dataio.write_table_csv(base.with_suffix(".csv"), table)
-    print(f"strategy-averaged mPCA [%] over {len(table.combinations())} combinations:")
-    for combo in table.combinations():
-        print(f"  {'+'.join(combo):<30s} {table.percent(combo):6.2f}")
+    print(f"strategy-averaged mPCA [%] over {len(table.values)} combinations:")
+    for combo, mean in zip(table.combinations(), (100.0 * table.column()).tolist()):
+        print(f"  {'+'.join(combo):<30s} {mean:6.2f}")
     print(f"wrote {base.with_suffix('.json')} and {base.with_suffix('.csv')}")
     return 0
 
@@ -63,7 +63,10 @@ def _contribution_table(args) -> tuple[AccuracyTable, dict, dict]:
     if args.table:
         digest = {str(args.table): dataio.sha256_file(args.table)}
         payload = dataio.load_json(args.table)
-        table = AccuracyTable.from_dict(payload.get("table", payload))
+        try:
+            table = AccuracyTable.from_dict(payload.get("table", payload))
+        except (ValueError, KeyError) as err:
+            raise ValueError(f"{args.table}: {err.args[0] if err.args else err}") from None
         return table, digest, {"source": "table", "table": str(args.table)}
     bundle, digests = dataio.load_bundle(args.manifest)
     strategies = parse_strategies(args.strategies)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -275,33 +276,6 @@ def validate_bundle(bundle: Bundle) -> ValidationResult:
     return ValidationResult(tuple(out))
 
 
-def _combo_key(universe: Iterable[str], combo: Iterable[str]) -> frozenset[str]:
-    names = tuple(combo)
-    key = frozenset(names)
-    if not key:
-        raise ValueError("modality combination must be nonempty")
-    unknown = key.difference(universe)
-    if unknown:
-        raise KeyError(f"unknown modalities in combination: {sorted(unknown)}")
-    if len(key) != len(names):
-        raise ValueError(f"modality combination {list(names)} repeats a name")
-    return key
-
-
-def _distinct(entries: Iterable[tuple]) -> dict:
-    """Collect ``(key, value)`` entries, rejecting a key given twice.
-
-    A key is a combination key or a ``(combination key, strategy)`` pair.
-    """
-    out = {}
-    for key, value in entries:
-        if key in out:
-            combo = key[0] if isinstance(key, tuple) else key
-            raise ValueError(f"duplicate entry for combination {sorted(combo)}")
-        out[key] = float(value)
-    return out
-
-
 def all_combinations(universe: Sequence[str]) -> list[tuple[str, ...]]:
     """All nonempty modality subsets, ordered by size then universe order."""
     names = tuple(universe)
@@ -311,84 +285,112 @@ def all_combinations(universe: Sequence[str]) -> list[tuple[str, ...]]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(universe: tuple[str, ...]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Name -> bit, row -> bitmask and bitmask -> row; rows follow all_combinations."""
+    if not universe:
+        raise ValueError("accuracy table needs at least one modality")
+    if len(set(universe)) != len(universe):
+        raise ValueError("modality names must be distinct")
+    bit = {name: 1 << i for i, name in enumerate(universe)}
+    masks = np.array([sum(map(bit.get, c)) for c in all_combinations(universe)], dtype=np.int64)
+    rows = np.full(1 << len(universe), -1)
+    rows[masks] = np.arange(masks.size)
+    masks.flags.writeable = rows.flags.writeable = False  # shared by every table over universe
+    return bit, masks, rows
+
+
+def _row(universe: tuple[str, ...], combo: Iterable[str]) -> int:
+    """Row of a modality combination in a table over ``universe``."""
+    names = tuple(combo)
+    if not names:
+        raise ValueError("modality combination must be nonempty")
+    bit, _, rows = _layout(universe)
+    key = set(names)
+    if key - bit.keys():
+        raise KeyError(f"unknown modalities in combination: {sorted(key - bit.keys())}")
+    if len(key) != len(names):
+        raise ValueError(f"modality combination {list(names)} repeats a name")
+    return int(rows[sum(map(bit.get, key))])
+
+
+def _fill(universe: tuple[str, ...], n_columns: int, cells: Iterable[tuple]) -> np.ndarray:
+    """Combinations x columns array of ``((combination, column), value)`` cells, each given once."""
+    values = np.zeros((_layout(universe)[1].size, n_columns))
+    filled = np.zeros(values.shape, dtype=bool)
+    for (combo, column), value in cells:
+        row = _row(universe, combo)
+        if filled[row, column]:
+            raise ValueError(f"duplicate entry for combination {sorted(combo)}")
+        values[row, column], filled[row, column] = float(value), True
+    if not filled.all():
+        combos = all_combinations(universe)
+        missing = sorted("+".join(sorted(combos[row])) for row in np.flatnonzero(~filled.all(axis=1)))
+        raise ValueError(f"incomplete accuracy table: missing={missing[:5]}")
+    return values
+
+
+def _field(record: Mapping, name: str, where: str):
+    try:
+        return record[name]
+    except (KeyError, TypeError):  # TypeError: the record is not a JSON object
+        raise ValueError(f"{where} has no {name!r} field") from None
+
+
 @dataclass(frozen=True, eq=False)
 class AccuracyTable:
     """Mean-per-class accuracy for every (modality combination, strategy).
 
-    Values are stored as fractions in [0, 1]; :meth:`percent` provides the
-    percentage view used in reports. The averaged view is always present;
-    per-strategy entries exist only for tables produced by a sweep (the
-    bundled benchmark fixture publishes averages only).
+    ``values`` holds fractions in [0, 1], one row per combination in
+    :meth:`combinations` order and one column per strategy. A table without
+    strategies (the bundled fixture publishes averages only) has one column
+    of averages. :meth:`percent` gives the percentage view used in reports.
     """
 
     modalities: tuple[str, ...]
     strategies: tuple[str, ...]
-    per_strategy: Mapping[tuple[frozenset[str], str], float]
-    averaged: Mapping[frozenset[str], float]
+    values: np.ndarray
     note: str = ""
 
     def __post_init__(self):
-        universe = tuple(self.modalities)
-        if not universe:
-            raise ValueError("accuracy table needs at least one modality")
-        if len(set(universe)) != len(universe):
-            raise ValueError("modality names must be distinct")
-        expected = {frozenset(c) for c in all_combinations(universe)}
-        if set(self.averaged) != expected:
-            missing = sorted("+".join(sorted(c)) for c in expected - set(self.averaged))
-            surplus = sorted("+".join(sorted(c)) for c in set(self.averaged) - expected)
-            raise ValueError(
-                f"incomplete accuracy table: missing={missing[:5]} unexpected={surplus[:5]}"
-            )
-        for combo, value in self.averaged.items():
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"accuracy {value} for {sorted(combo)} outside [0, 1]")
-        strategies = tuple(self.strategies)
-        if strategies:
-            want = {(c, s) for c in expected for s in strategies}
-            if set(self.per_strategy) != want:
-                raise ValueError("per-strategy entries do not cover combinations x strategies")
-            for (combo, _), value in self.per_strategy.items():
-                if not (0.0 <= value <= 1.0):
-                    raise ValueError(f"accuracy {value} for {sorted(combo)} outside [0, 1]")
-            for name in universe:
-                single = frozenset((name,))
-                vals = {self.per_strategy[(single, s)] for s in strategies}
-                if len(vals) != 1:
-                    raise ValueError(
-                        f"singleton {name} differs across strategies: {sorted(vals)}"
-                    )
-        elif self.per_strategy:
-            raise ValueError("per-strategy entries given without strategy list")
+        universe, strategies = tuple(self.modalities), tuple(self.strategies)
+        values = _frozen_array(self.values, np.float64)
+        if values.shape != (_layout(universe)[1].size, max(1, len(strategies))):
+            raise ValueError(f"accuracy values of shape {values.shape} do not fit the table")
+        outside = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
+        if outside.size:
+            row, column = outside[0]
+            combo = sorted(all_combinations(universe)[row])
+            raise ValueError(f"accuracy {float(values[row, column])} for {combo} outside [0, 1]")
+        for name, single in zip(universe, values if strategies else ()):
+            if (single != single[0]).any():
+                vals = sorted(set(single.tolist()))
+                raise ValueError(f"singleton {name} differs across strategies: {vals}")
         object.__setattr__(self, "modalities", universe)
         object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "per_strategy", dict(self.per_strategy))
-        object.__setattr__(self, "averaged", dict(self.averaged))
-        # Lookups check names against a set instead of rebuilding one per call.
-        object.__setattr__(self, "_known", frozenset(universe))
+        object.__setattr__(self, "values", values)
+        averaged = values.mean(axis=1) if strategies else values[:, 0]
+        averaged.flags.writeable = False
+        object.__setattr__(self, "_averaged", averaged)
 
     @classmethod
     def from_averaged(cls, modalities, averaged, note: str = "") -> "AccuracyTable":
         universe = tuple(modalities)
-        mapped = _distinct((_combo_key(universe, c), v) for c, v in averaged.items())
-        return cls(universe, (), {}, mapped, note)
+        cells = (((combo, 0), value) for combo, value in averaged.items())
+        return cls(universe, (), _fill(universe, 1, cells), note)
 
     @classmethod
     def from_per_strategy(cls, modalities, strategies, per_strategy, note: str = "") -> "AccuracyTable":
-        universe = tuple(modalities)
-        strategies = tuple(strategies)
-        mapped = _distinct(
-            ((_combo_key(universe, c), str(s)), v) for (c, s), v in per_strategy.items()
-        )
-        averaged = {}
-        for combo in all_combinations(universe):
-            key = frozenset(combo)
-            try:
-                vals = [mapped[(key, s)] for s in strategies]
-            except KeyError:
-                continue  # leave the completeness check to __post_init__
-            averaged[key] = float(np.mean(vals))
-        return cls(universe, strategies, mapped, averaged, note)
+        universe, strategies = tuple(modalities), tuple(strategies)
+        if not strategies:
+            raise ValueError("per-strategy entries given without strategy list")
+        column = {s: k for k, s in enumerate(strategies)}
+        if len(column) != len(strategies):
+            raise ValueError("strategy names must be distinct")
+        if not {str(s) for _, s in per_strategy} <= column.keys():
+            raise ValueError("per-strategy entries do not cover combinations x strategies")
+        cells = (((c, column[str(s)]), v) for (c, s), v in per_strategy.items())
+        return cls(universe, strategies, _fill(universe, len(strategies), cells), note)
 
     @property
     def has_per_strategy(self) -> bool:
@@ -397,30 +399,38 @@ class AccuracyTable:
     def combinations(self) -> list[tuple[str, ...]]:
         return all_combinations(self.modalities)
 
-    def value(self, combo, strategy: str | None = None) -> float:
-        """Accuracy fraction for a combination; strategy=None reads the average."""
-        key = _combo_key(self._known, combo)
+    def column(self, strategy: str | None = None) -> np.ndarray:
+        """Accuracy fractions in :meth:`combinations` order; strategy=None reads the average."""
         if strategy is None:
-            return self.averaged[key]
+            return self._averaged
         if not self.strategies:
-            raise ValueError(
-                "per-strategy view unavailable for this table"
-                + (f" ({self.note})" if self.note else "")
-            )
+            note = f" ({self.note})" if self.note else ""
+            raise ValueError(f"per-strategy view unavailable for this table{note}")
         if strategy not in self.strategies:
             raise KeyError(f"unknown strategy {strategy!r}")
-        return self.per_strategy[(key, strategy)]
+        return self.values[:, self.strategies.index(strategy)]
+
+    def value(self, combo, strategy: str | None = None) -> float:
+        """Accuracy fraction for a combination; strategy=None reads the average."""
+        row = _row(self.modalities, combo)
+        return float(self.column(strategy)[row])
 
     def percent(self, combo, strategy: str | None = None) -> float:
         return 100.0 * self.value(combo, strategy)
 
+    def with_without(self, modality: str) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of C + (modality,) and of C, for each nonempty C without it, in table order."""
+        bit, masks, rows = _layout(self.modalities)
+        without = np.flatnonzero(masks & bit[modality] == 0)
+        return rows[masks[without] | bit[modality]], without
+
     def to_dict(self) -> dict:
         entries = []
-        for combo in self.combinations():
-            key = frozenset(combo)
-            row = {"combination": list(combo), "averaged": self.averaged[key]}
+        rows = zip(self.combinations(), self._averaged.tolist(), self.values.tolist())
+        for combo, averaged, cells in rows:
+            row = {"combination": list(combo), "averaged": averaged}
             if self.strategies:
-                row["strategies"] = {s: self.per_strategy[(key, s)] for s in self.strategies}
+                row["strategies"] = dict(zip(self.strategies, cells))
             entries.append(row)
         out = {
             "modalities": list(self.modalities),
@@ -433,15 +443,16 @@ class AccuracyTable:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "AccuracyTable":
-        modalities = tuple(payload["modalities"])
+        """Inverse of :meth:`to_dict`; a missing field raises ``ValueError`` naming it."""
+        modalities = tuple(_field(payload, "modalities", "accuracy table"))
         strategies = tuple(payload.get("strategies", ()))
         averaged = {}
         per_strategy = {}
-        for row in payload["entries"]:
-            combo = tuple(row["combination"])
+        for i, row in enumerate(_field(payload, "entries", "accuracy table")):
+            combo = tuple(_field(row, "combination", f"accuracy table entry {i}"))
             if combo in averaged:
                 raise ValueError(f"duplicate entry for combination {sorted(combo)}")
-            averaged[combo] = float(row["averaged"])
+            averaged[combo] = float(_field(row, "averaged", f"accuracy table entry {i}"))
             for s, v in row.get("strategies", {}).items():
                 per_strategy[(combo, s)] = float(v)
         if strategies:

@@ -342,11 +342,10 @@ def write_table_csv(path, table: AccuracyTable) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["combination", *table.strategies, "averaged"])
-        for combo in table.combinations():
-            row = ["+".join(combo)]
-            row.extend(_fmt(table.percent(combo, s)) for s in table.strategies)
-            row.append(_fmt(table.percent(combo)))
-            writer.writerow(row)
+        # A table without strategies holds only the averaged column.
+        columns = np.column_stack((table.values, table.column())) if table.strategies else table.values
+        for combo, row in zip(table.combinations(), (100.0 * columns).tolist()):
+            writer.writerow(["+".join(combo), *map(_fmt, row)])
 
 
 def write_contribution_csv(path, report) -> None:

@@ -123,6 +123,10 @@ def mpca(pred, truth, n_classes: int) -> float:
     return float(np.mean(correct[present] / occurrences[present]))
 
 
+# A sweep fuses 2^M - 1 combinations; callers must opt in above this many modalities.
+MAX_DEFAULT_UNIVERSE = 16
+
+
 def thread_count() -> int:
     """Worker count for parallel sweeps, from MODSELECT_THREADS (default: all cores)."""
     raw = os.environ.get("MODSELECT_THREADS", "").strip()
@@ -135,21 +139,29 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def sweep(bundle: Bundle, strategies: Iterable[FusionStrategy] = ALL_STRATEGIES) -> AccuracyTable:
+def sweep(
+    bundle: Bundle,
+    strategies: Iterable[FusionStrategy] = ALL_STRATEGIES,
+    allow_large: bool = False,
+) -> AccuracyTable:
     """Evaluate every nonempty modality combination under every strategy.
 
     Singleton combinations involve no fusion, so they are evaluated once and
     replicated across strategies. Combinations may be evaluated on several
     threads (see MODSELECT_THREADS); the result is identical either way.
+    More than ``MAX_DEFAULT_UNIVERSE`` modalities need ``allow_large=True``.
     """
     if bundle.labels is None:
         raise ValueError("sweep requires ground truth")
     if not bundle.modalities:
         raise ValueError("sweep needs at least one modality")
-    strategy_list: list[FusionStrategy] = []
-    for s in strategies:
-        if s not in strategy_list:
-            strategy_list.append(s)
+    n = len(bundle.modalities)
+    if n > MAX_DEFAULT_UNIVERSE and not allow_large:
+        raise ValueError(
+            f"universe of {n} modalities needs 2^{n} - 1 combination evaluations; "
+            "pass allow_large=True to proceed"
+        )
+    strategy_list = list(dict.fromkeys(strategies))
     if not strategy_list:
         raise ValueError("no strategies given")
 
@@ -176,10 +188,5 @@ def sweep(bundle: Bundle, strategies: Iterable[FusionStrategy] = ALL_STRATEGIES)
     else:
         rows = [evaluate(c) for c in combos]
 
-    per_strategy = {}
-    for combo, row in zip(combos, rows):
-        for s in strategy_list:
-            per_strategy[(combo, s.value)] = row[s]
-    return AccuracyTable.from_per_strategy(
-        names, [s.value for s in strategy_list], per_strategy
-    )
+    per_strategy = {(c, s.value): row[s] for c, row in zip(combos, rows) for s in strategy_list}
+    return AccuracyTable.from_per_strategy(names, [s.value for s in strategy_list], per_strategy)

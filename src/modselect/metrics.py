@@ -171,7 +171,7 @@ def aggregate(pairs: PairMetricMatrix, modality: str, exclude_self: bool = True)
     if exclude_self:
         mask[i] = False
     if not mask.any():
-        raise ValueError("modality has no comparable partners")
+        raise ValueError(f"modality {modality!r} has no comparable partners")
     return float(pairs.values[i][mask].mean())
 
 

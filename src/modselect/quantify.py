@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import AccuracyTable
 
-# 2^(M-1) evaluations per modality grow fast; callers must opt in above this.
-MAX_DEFAULT_UNIVERSE = 16
 
-
-def contribution(
-    table: AccuracyTable,
-    modality: str,
-    strategy: str | None = None,
-    allow_large: bool = False,
-) -> float:
+def contribution(table: AccuracyTable, modality: str, strategy: str | None = None) -> float:
     """Average accuracy change from adding ``modality`` to a fusion ensemble.
 
     Computed as the mean, over every nonempty combination of the remaining
@@ -24,31 +15,21 @@ def contribution(
     it. The result is in the table's fractional scale; multiply by 100 for
     percentage points.
     """
-    universe = table.modalities
-    if modality not in universe:
+    if modality not in table.modalities:
         raise KeyError(f"unknown modality {modality!r}")
-    others = tuple(n for n in universe if n != modality)
-    if not others:
+    if len(table.modalities) == 1:
         raise ValueError("no combinations without m")
-    if len(universe) > MAX_DEFAULT_UNIVERSE and not allow_large:
-        raise ValueError(
-            f"universe of {len(universe)} modalities needs 2^{len(universe) - 1} - 1 "
-            "combination evaluations; pass allow_large=True to proceed"
-        )
-    diffs = []
-    for size in range(1, len(others) + 1):
-        for combo in itertools.combinations(others, size):
-            with_m = table.value(combo + (modality,), strategy)
-            without_m = table.value(combo, strategy)
-            diffs.append(with_m - without_m)
+    accuracy = table.column(strategy)
+    with_m, without_m = table.with_without(modality)
+    # Python's sum adds left to right in table order; np.sum adds pairwise,
+    # which changes the last digit of some contributions.
+    diffs = (accuracy[with_m] - accuracy[without_m]).tolist()
     return sum(diffs) / len(diffs)
 
 
-def positive_modalities(table: AccuracyTable, allow_large: bool = False) -> frozenset[str]:
+def positive_modalities(table: AccuracyTable) -> frozenset[str]:
     """Modalities whose averaged contribution is strictly positive."""
-    return frozenset(
-        m for m in table.modalities if contribution(table, m, None, allow_large) > 0.0
-    )
+    return frozenset(m for m in table.modalities if contribution(table, m) > 0.0)
 
 
 @dataclass(frozen=True)
@@ -72,13 +53,11 @@ class ContributionReport:
         }
 
 
-def contribution_report(table: AccuracyTable, allow_large: bool = False) -> ContributionReport:
+def contribution_report(table: AccuracyTable) -> ContributionReport:
     """Contributions for every modality, averaged and per strategy when available."""
-    averaged = {
-        m: 100.0 * contribution(table, m, None, allow_large) for m in table.modalities
-    }
+    averaged = {m: 100.0 * contribution(table, m) for m in table.modalities}
     per_strategy = {
-        s: {m: 100.0 * contribution(table, m, s, allow_large) for m in table.modalities}
+        s: {m: 100.0 * contribution(table, m, s) for m in table.modalities}
         for s in table.strategies
     }
     positive = frozenset(m for m, f in averaged.items() if f > 0.0)

@@ -107,6 +107,13 @@ def test_contribution_fixture_and_csv(tmp_path):
     assert positives == {"H", "L", "OF", "YOLO"}
 
 
+def test_contribution_table_error_names_file_and_field(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"modalities": ["a", "b"]}))
+    assert run_cli("contribution", "--table", table, "--out", tmp_path / "c.json") == 1
+    assert f"error: {table}: accuracy table has no 'entries' field" in capsys.readouterr().err
+
+
 def test_contribution_source_exclusivity(tmp_path, capsys):
     assert run_cli("contribution", "--out", tmp_path / "x.json") == 1
     assert "exactly one" in capsys.readouterr().err
@@ -138,6 +145,18 @@ def test_select_and_consensus_subset_of_or(bundle_dir, tmp_path):
     selected_or = set(json.loads(out_or.read_text())["selected"])
     selected_and = set(json.loads(out_and.read_text())["selected"])
     assert selected_and <= selected_or
+
+
+def test_select_names_a_constant_score_modality(bundle_dir, tmp_path, capsys):
+    # Uniform scores give random1 no defined per-class correlation with any partner.
+    path = bundle_dir / "scores_random1.csv"
+    header, *rows = path.read_text().splitlines()
+    n_classes = len(header.split(",")) - 1
+    uniform = f",{1 / n_classes!r}" * n_classes
+    path.write_text("\n".join([header] + [row.split(",")[0] + uniform for row in rows]) + "\n")
+    out = tmp_path / "sel.json"
+    assert run_cli("select", "--manifest", bundle_dir / "manifest.json", "--out", out) == 1
+    assert "'random1' has no comparable partners" in capsys.readouterr().err
 
 
 def test_select_pairs_mode(bundle_dir, tmp_path):

@@ -138,10 +138,11 @@ class TestAccuracyTable:
         with pytest.raises(ValueError, match="incomplete accuracy table"):
             AccuracyTable.from_averaged(("a", "b"), {("a",): 0.5, ("b",): 0.7})
 
-    def test_out_of_range_value_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+    @pytest.mark.parametrize("bad", [1.2, float("nan")])
+    def test_out_of_range_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"for \['a', 'b'\] outside"):
             AccuracyTable.from_averaged(
-                ("a", "b"), {("a",): 0.5, ("b",): 0.7, ("a", "b"): 1.2}
+                ("a", "b"), {("a",): 0.5, ("b",): 0.7, ("a", "b"): bad}
             )
 
     def test_per_strategy_requires_identical_singletons(self):
@@ -168,6 +169,32 @@ class TestAccuracyTable:
         table = AccuracyTable.from_per_strategy(("a", "b"), ("sum", "max"), entries)
         assert table.value(("a", "b")) == pytest.approx(0.85)
         assert table.value(("a", "b"), "max") == 0.9
+
+    def test_values_follow_combinations(self):
+        entries = {
+            (("a",), "sum"): 0.5,
+            (("a",), "max"): 0.5,
+            (("b",), "sum"): 0.7,
+            (("b",), "max"): 0.7,
+            (("a", "b"), "sum"): 0.8,
+            (("a", "b"), "max"): 0.9,
+        }
+        table = AccuracyTable.from_per_strategy(("a", "b"), ("sum", "max"), entries)
+        assert table.values.tolist() == [[0.5, 0.5], [0.7, 0.7], [0.8, 0.9]]
+        assert not table.values.flags.writeable and not table.column().flags.writeable
+        assert table.column("max").tolist() == [0.5, 0.7, 0.9]
+        assert table.column().tolist() == [table.value(c) for c in table.combinations()]
+        averaged = AccuracyTable.from_averaged(("a", "b"), {("b", "a"): 0.8, ("a",): 0.5, ("b",): 0.7})
+        assert averaged.values.tolist() == [[0.5], [0.7], [0.8]]
+
+    def test_per_strategy_entries_must_match_strategy_list(self):
+        entries = {(("a",), "sum"): 0.5, (("a",), "max"): 0.5}
+        with pytest.raises(ValueError, match="do not cover"):
+            AccuracyTable.from_per_strategy(("a",), ("sum",), entries)
+        with pytest.raises(ValueError, match="without strategy list"):
+            AccuracyTable.from_per_strategy(("a",), (), entries)
+        with pytest.raises(ValueError, match="strategy names must be distinct"):
+            AccuracyTable.from_per_strategy(("a",), ("sum", "sum"), {(("a",), "sum"): 0.5})
 
     def test_per_strategy_view_flagged_when_absent(self):
         table = AccuracyTable.from_averaged(
@@ -227,4 +254,18 @@ class TestAccuracyTable:
             "entries": [{"combination": c, "averaged": v} for c, v in rows],
         }
         with pytest.raises(ValueError, match=r"duplicate entry for combination \['a', 'b'\]"):
+            AccuracyTable.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("modalities", {"entries": []}),
+            ("entries", {"modalities": ["a", "b"]}),
+            ("combination", {"modalities": ["a"], "entries": [{"averaged": 0.5}]}),
+            ("averaged", {"modalities": ["a"], "entries": [{"combination": ["a"]}]}),
+            ("combination", {"modalities": ["a"], "entries": [["a"]]}),
+        ],
+    )
+    def test_from_dict_names_missing_field(self, field, payload):
+        with pytest.raises(ValueError, match=f"has no '{field}' field"):
             AccuracyTable.from_dict(payload)

@@ -233,7 +233,7 @@ def test_sweep_counts(rng):
     bundle = _labelled_bundle(rng, n_modalities=5)
     table = sweep(bundle)
     assert len(table.combinations()) == 31
-    assert len(table.per_strategy) == 31 * 6
+    assert table.values.shape == (31, 6)
     assert table.strategies == tuple(s.value for s in ALL_STRATEGIES)
 
 
@@ -268,8 +268,8 @@ def test_sweep_thread_count_does_not_change_result(rng, monkeypatch):
     serial = sweep(bundle)
     monkeypatch.setenv("MODSELECT_THREADS", "4")
     threaded = sweep(bundle)
-    assert serial.per_strategy == threaded.per_strategy
-    assert serial.averaged == threaded.averaged
+    assert np.array_equal(serial.values, threaded.values)
+    assert np.array_equal(serial.column(), threaded.column())
 
 
 def test_thread_count_env(monkeypatch):

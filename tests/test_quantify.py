@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import modselect.quantify as quantify
+import modselect.fusion as fusion
 from modselect import (
     AccuracyTable,
     contribution,
@@ -65,6 +65,40 @@ def test_fixture_positive_sets():
     assert positive_modalities(load_fixture("etri")) == {"L", "YOLO"}
 
 
+# Every fixture contribution in percentage points, to the last digit. The
+# with-without differences are summed left to right in table order; a sum
+# in any other order (np.sum is pairwise) changes some of these digits.
+EXACT_FIXTURE_CONTRIBUTIONS = {
+    "sims4action": {
+        "H": "12.663999999999998",
+        "L": "14.659333333333327",
+        "OF": "7.046666666666666",
+        "RGB": "13.105999999999998",
+        "YOLO": "-0.3746666666666665",
+    },
+    "toyota": {
+        "H": "2.7913333333333337",
+        "L": "2.578666666666667",
+        "OF": "3.3346666666666662",
+        "RGB": "-2.289333333333334",
+        "YOLO": "2.944",
+    },
+    "etri": {
+        "H": "-0.14266666666666689",
+        "L": "0.8226666666666665",
+        "OF": "-0.7626666666666667",
+        "RGB": "-2.0220000000000002",
+        "YOLO": "5.052666666666665",
+    },
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(EXACT_FIXTURE_CONTRIBUTIONS))
+def test_fixture_contributions_exact(dataset):
+    report = contribution_report(load_fixture(dataset))
+    assert {m: repr(f) for m, f in report.averaged.items()} == EXACT_FIXTURE_CONTRIBUTIONS[dataset]
+
+
 def test_all_equal_accuracies_give_zero():
     names = ("a", "b", "c")
     averaged = {c: 0.6 for c in map(tuple, itertools.chain.from_iterable(
@@ -78,7 +112,7 @@ def test_translation_invariance(rng):
     table = random_table(rng, 4)
     shifted = AccuracyTable.from_averaged(
         table.modalities,
-        {tuple(sorted(c)): 0.5 * v + 0.2 for c, v in table.averaged.items()},
+        {c: 0.5 * table.value(c) + 0.2 for c in table.combinations()},
     )
     for m in table.modalities:
         assert 0.5 * contribution(table, m) == pytest.approx(
@@ -111,11 +145,16 @@ def test_unknown_modality():
 
 
 def test_large_universe_cap(rng, monkeypatch):
-    monkeypatch.setattr(quantify, "MAX_DEFAULT_UNIVERSE", 3)
-    table = random_table(rng, 4)
-    with pytest.raises(ValueError, match="allow_large"):
-        contribution(table, table.modalities[0])
-    contribution(table, table.modalities[0], allow_large=True)
+    monkeypatch.setattr(fusion, "MAX_DEFAULT_UNIVERSE", 3)
+    labels = rng.integers(0, 3, 20)
+    bundle = make_bundle([simplex_rows(rng, 20, 3) for _ in range(4)], labels=labels)
+    with monkeypatch.context() as patched:
+        # The guard runs before the first evaluation.
+        patched.setattr(fusion, "mpca", lambda *args: pytest.fail("sweep evaluated"))
+        with pytest.raises(ValueError, match="allow_large"):
+            sweep(bundle)
+    table = sweep(bundle, allow_large=True)
+    contribution(table, table.modalities[0])
 
 
 def test_strategy_average_linearity(rng):
