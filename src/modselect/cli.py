@@ -63,6 +63,8 @@ def _contribution_table(args) -> tuple[AccuracyTable, dict, dict]:
     if args.table:
         digest = {str(args.table): dataio.sha256_file(args.table)}
         payload = dataio.load_json(args.table)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{args.table}: accuracy table file must hold a JSON object")
         try:
             table = AccuracyTable.from_dict(payload.get("table", payload))
         except (ValueError, KeyError) as err:

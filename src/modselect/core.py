@@ -314,8 +314,17 @@ def _row(universe: tuple[str, ...], combo: Iterable[str]) -> int:
     return int(rows[sum(map(bit.get, key))])
 
 
-def _fill(universe: tuple[str, ...], n_columns: int, cells: Iterable[tuple]) -> np.ndarray:
-    """Combinations x columns array of ``((combination, column), value)`` cells, each given once."""
+def _fill(universe: tuple[str, ...], n_columns: int, n_cells: int, cells: Iterable[tuple]) -> np.ndarray:
+    """Combinations x columns array of ``n_cells`` ``((combination, column), value)`` cells.
+
+    Each cell must be given once; a short count is rejected before any work.
+    """
+    n_combos = (1 << len(universe)) - 1
+    if n_cells < n_combos * n_columns:  # counted before the layout, which grows as 2^M
+        raise ValueError(
+            f"incomplete accuracy table: {n_cells} values given, "
+            f"{n_combos} combinations x {n_columns} columns needed"
+        )
     values = np.zeros((_layout(universe)[1].size, n_columns))
     filled = np.zeros(values.shape, dtype=bool)
     for (combo, column), value in cells:
@@ -323,10 +332,6 @@ def _fill(universe: tuple[str, ...], n_columns: int, cells: Iterable[tuple]) -> 
         if filled[row, column]:
             raise ValueError(f"duplicate entry for combination {sorted(combo)}")
         values[row, column], filled[row, column] = float(value), True
-    if not filled.all():
-        combos = all_combinations(universe)
-        missing = sorted("+".join(sorted(combos[row])) for row in np.flatnonzero(~filled.all(axis=1)))
-        raise ValueError(f"incomplete accuracy table: missing={missing[:5]}")
     return values
 
 
@@ -355,8 +360,9 @@ class AccuracyTable:
     def __post_init__(self):
         universe, strategies = tuple(self.modalities), tuple(self.strategies)
         values = _frozen_array(self.values, np.float64)
-        if values.shape != (_layout(universe)[1].size, max(1, len(strategies))):
+        if values.shape != ((1 << len(universe)) - 1, max(1, len(strategies))):
             raise ValueError(f"accuracy values of shape {values.shape} do not fit the table")
+        _layout(universe)  # the names are nonempty and distinct
         outside = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
         if outside.size:
             row, column = outside[0]
@@ -377,7 +383,7 @@ class AccuracyTable:
     def from_averaged(cls, modalities, averaged, note: str = "") -> "AccuracyTable":
         universe = tuple(modalities)
         cells = (((combo, 0), value) for combo, value in averaged.items())
-        return cls(universe, (), _fill(universe, 1, cells), note)
+        return cls(universe, (), _fill(universe, 1, len(averaged), cells), note)
 
     @classmethod
     def from_per_strategy(cls, modalities, strategies, per_strategy, note: str = "") -> "AccuracyTable":
@@ -390,7 +396,8 @@ class AccuracyTable:
         if not {str(s) for _, s in per_strategy} <= column.keys():
             raise ValueError("per-strategy entries do not cover combinations x strategies")
         cells = (((c, column[str(s)]), v) for (c, s), v in per_strategy.items())
-        return cls(universe, strategies, _fill(universe, len(strategies), cells), note)
+        values = _fill(universe, len(strategies), len(per_strategy), cells)
+        return cls(universe, strategies, values, note)
 
     @property
     def has_per_strategy(self) -> bool:

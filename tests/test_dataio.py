@@ -7,6 +7,7 @@ from modselect import AccuracyTable, sweep
 from modselect.dataio import (
     dump_json,
     load_bundle,
+    load_json,
     load_manifest,
     read_detections_csv,
     read_keypoints_csv,
@@ -93,6 +94,34 @@ def test_manifest_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="duplicate modality"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "modality, field",
+    [({"scores_path": "s.csv"}, "name"), ({"name": "m"}, "scores_path"), ("m", "name")],
+)
+def test_manifest_names_missing_modality_field(tmp_path, modality, field):
+    path = tmp_path / "manifest.json"
+    good = {"name": "g", "scores_path": "g.csv"}
+    dump_json({"class_names": ["a", "b"], "modalities": [good, modality]}, path)
+    with pytest.raises(ValueError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: modality 1 has no {field!r} field"
+
+
+def test_manifest_must_be_a_json_object(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="manifest must be a JSON object"):
+        load_manifest(path)
+
+
+def test_invalid_json_names_the_file(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"modalities": [')
+    with pytest.raises(ValueError) as err:
+        load_json(path)
+    assert str(err.value).startswith(f"{path}: invalid JSON")
 
 
 def test_missing_file_raises(tmp_path):

@@ -188,3 +188,11 @@ def test_pgm_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(back_binary.values, back_ascii.values)
     np.testing.assert_allclose(back_binary.values, image.values, atol=0.5 / 255.0 + 1e-12)
     assert binary_path.read_bytes().startswith(b"P5\n11 7\n255\n")
+
+
+@pytest.mark.parametrize("maxval", [b"0", b"-3"])
+def test_pgm_nonpositive_maxval_rejected(tmp_path, maxval):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n2 1\n" + maxval + b"\n0 0\n")
+    with pytest.raises(ValueError, match="maxval must be positive"):
+        read_pgm(path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modselect import ALL_STRATEGIES, FusionStrategy, fuse, mpca, predict, sweep
-from modselect.fusion import parse_strategies, thread_count
+from modselect.fusion import parse_strategies
 
 from conftest import make_bundle, simplex_rows
 
@@ -82,6 +82,8 @@ def test_sum_of_identical_matrices_preserves_argmax(rng):
 def test_fuse_shape_mismatch():
     with pytest.raises(ValueError, match="incompatible score matrices"):
         fuse(FusionStrategy.SUM, [np.zeros((2, 3)), np.zeros((2, 4))])
+    with pytest.raises(ValueError, match="incompatible score matrices"):
+        fuse(FusionStrategy.SUM, [np.zeros((2, 3)), np.zeros((2, 3))], prefix=np.zeros((2, 4)))
 
 
 def test_fuse_empty_input():
@@ -262,21 +264,79 @@ def test_sweep_matches_bruteforce(rng):
                 assert table.value(combo, strategy.value) == pytest.approx(want, abs=1e-12)
 
 
-def test_sweep_thread_count_does_not_change_result(rng, monkeypatch):
-    bundle = _labelled_bundle(rng, n_modalities=4)
-    monkeypatch.setenv("MODSELECT_THREADS", "1")
-    serial = sweep(bundle)
-    monkeypatch.setenv("MODSELECT_THREADS", "4")
-    threaded = sweep(bundle)
-    assert np.array_equal(serial.values, threaded.values)
-    assert np.array_equal(serial.column(), threaded.column())
+def _tied_scores(rng, n_samples, n_classes):
+    # Rounded to two decimals, so scores often tie within a row and across modalities.
+    return np.round(simplex_rows(rng, n_samples, n_classes), 2)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("MODSELECT_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("MODSELECT_THREADS", "bogus")
-    with pytest.raises(ValueError, match="MODSELECT_THREADS"):
-        thread_count()
-    monkeypatch.delenv("MODSELECT_THREADS")
-    assert thread_count() >= 1
+@pytest.mark.parametrize("n_modalities", range(1, 7))
+def test_sweep_equals_one_shot_fusion(n_modalities):
+    # Odd and even combination sizes, tied scores and shuffled rule subsets:
+    # the prefix walk must give the same bits as fusing each combination anew.
+    rng = np.random.default_rng(n_modalities)
+    subsets = [parse_strategies("borda,max")]
+    subsets += [list(rng.permutation(ALL_STRATEGIES))[: int(rng.integers(1, 7))] for _ in range(2)]
+    for strategies in subsets:
+        n_samples, n_classes = int(rng.integers(10, 60)), int(rng.integers(2, 6))
+        labels = rng.integers(0, n_classes, n_samples)
+        scores = [_tied_scores(rng, n_samples, n_classes) for _ in range(n_modalities)]
+        bundle = make_bundle(scores, labels=labels)
+        table = sweep(bundle, strategies)
+        assert table.strategies == tuple(s.value for s in strategies)
+        want = np.empty(table.values.shape)
+        for row, combo in enumerate(table.combinations()):
+            selected = [bundle.get(name).scores.values for name in combo]
+            for col, s in enumerate(strategies):
+                fused = selected[0] if len(combo) == 1 else fuse(s, selected)
+                want[row, col] = mpca(predict(fused).values, labels, n_classes)
+        assert np.array_equal(table.values, want)
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+def test_fuse_from_prefix_is_bit_identical(strategy):
+    rng = np.random.default_rng(11)
+    for k in range(2, 8):
+        xs = [_tied_scores(rng, 30, 5) for _ in range(k)]
+        got = fuse(strategy, xs, prefix=fuse(strategy, xs[:-1]))
+        assert np.array_equal(got, fuse(strategy, xs))
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_fuse_matches_numpy_reductions_bit_for_bit(k):
+    # The fold reproduces the stack reductions the rules are defined by.
+    rng = np.random.default_rng(k)
+    xs = [rng.random((25, 4)) for _ in range(k)]
+    stack = np.stack(xs)
+    want = {
+        FusionStrategy.SUM: stack.sum(axis=0),
+        FusionStrategy.SQUARED_SUM: (stack * stack).sum(axis=0),
+        FusionStrategy.PRODUCT: np.prod(stack, axis=0),
+        FusionStrategy.MAXIMUM: stack.max(axis=0),
+        FusionStrategy.MEDIAN: np.median(stack, axis=0),
+    }
+    for strategy, expected in want.items():
+        assert np.array_equal(fuse(strategy, xs), expected), strategy
+    assert all(np.array_equal(x, y) for x, y in zip(xs, stack))  # inputs untouched
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_median_of_nan_and_inf_matches_numpy(k):
+    rng = np.random.default_rng(k)
+    xs = [rng.random((k + 4, 3)) for _ in range(k)]
+    for member in range(k):  # a NaN in each member, one row each
+        xs[member][member, member % 3] = np.nan
+    xs[0][k, :] = np.nan
+    xs[-1][k + 1, 0], xs[0][k + 1, 1], xs[-1][k + 1, 1] = np.inf, -np.inf, np.inf
+    with np.errstate(invalid="ignore"):  # both add inf and -inf for the even k
+        got = fuse(FusionStrategy.MEDIAN, xs)
+        want = np.median(np.stack(xs), axis=0)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert all(np.isnan(got[m, m % 3]) for m in range(k)) and np.isnan(got[k]).all()
+
+
+def test_single_matrix_fusion_is_a_copy():
+    matrix = np.array([[0.25, 0.75], [0.5, 0.5]])
+    for strategy in ALL_STRATEGIES:
+        fused = fuse(strategy, [matrix])
+        fused[...] = 0.0
+        assert matrix[0, 1] == 0.75, strategy
