@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -306,18 +307,22 @@ def _row(universe: tuple[str, ...], combo: Iterable[str]) -> int:
     if not names:
         raise ValueError("modality combination must be nonempty")
     bit, _, rows = _layout(universe)
-    key = set(names)
-    if key - bit.keys():
-        raise KeyError(f"unknown modalities in combination: {sorted(key - bit.keys())}")
-    if len(key) != len(names):
+    try:
+        mask = functools.reduce(operator.or_, map(bit.__getitem__, names))
+    except KeyError:
+        raise KeyError(f"unknown modalities in combination: {sorted(set(names) - bit.keys())}") from None
+    if mask.bit_count() != len(names):
         raise ValueError(f"modality combination {list(names)} repeats a name")
-    return int(rows[sum(map(bit.get, key))])
+    return int(rows[mask])
 
 
-def _fill(universe: tuple[str, ...], n_columns: int, n_cells: int, cells: Iterable[tuple]) -> np.ndarray:
-    """Combinations x columns array of ``n_cells`` ``((combination, column), value)`` cells.
+def _fill(universe: tuple[str, ...], n_columns: int, n_cells: int, entries: Iterable[tuple]) -> np.ndarray:
+    """Combinations x columns array from ``(combination, columns, values)`` entries.
 
-    Each cell must be given once; a short count is rejected before any work.
+    An entry sets ``values`` at ``columns`` of its combination's row; an
+    entry without columns is skipped. The entries hold ``n_cells`` values
+    and each cell must be given once; a short count is rejected before any
+    work.
     """
     n_combos = (1 << len(universe)) - 1
     if n_cells < n_combos * n_columns:  # counted before the layout, which grows as 2^M
@@ -325,14 +330,41 @@ def _fill(universe: tuple[str, ...], n_columns: int, n_cells: int, cells: Iterab
             f"incomplete accuracy table: {n_cells} values given, "
             f"{n_combos} combinations x {n_columns} columns needed"
         )
-    values = np.zeros((_layout(universe)[1].size, n_columns))
-    filled = np.zeros(values.shape, dtype=bool)
-    for (combo, column), value in cells:
+    n_rows = _layout(universe)[1].size
+    filled = [0] * n_rows  # per row, a bitmask of the columns already set
+    masks: dict[tuple, int] = {}  # columns -> their bitmask, or -1 if one repeats
+    rows: list[int] = []
+    columns_given: list[int] = []
+    cells: list[float] = []
+    for combo, columns, entry_values in entries:
+        if not columns:
+            continue
         row = _row(universe, combo)
-        if filled[row, column]:
+        mask = masks.get(columns)
+        if mask is None:
+            unique = set(columns)
+            mask = masks[columns] = sum(1 << c for c in unique) if len(unique) == len(columns) else -1
+        if mask < 0 or filled[row] & mask:
             raise ValueError(f"duplicate entry for combination {sorted(combo)}")
-        values[row, column], filled[row, column] = float(value), True
+        filled[row] |= mask
+        rows.extend([row] * len(columns))
+        columns_given.extend(columns)
+        cells.extend(map(float, entry_values))
+    values = np.zeros((n_rows, n_columns))
+    values[rows, columns_given] = cells
     return values
+
+
+def _columns(strategies: tuple[str, ...], names: Iterable) -> dict[str, int]:
+    """Column of each strategy; ``names`` are the strategy names the cells give."""
+    if not strategies:
+        raise ValueError("per-strategy entries given without strategy list")
+    column = {s: k for k, s in enumerate(strategies)}
+    if len(column) != len(strategies):
+        raise ValueError("strategy names must be distinct")
+    if not {str(s) for s in names} <= column.keys():
+        raise ValueError("per-strategy entries do not cover combinations x strategies")
+    return column
 
 
 def _field(record: Mapping, name: str, where: str):
@@ -382,21 +414,15 @@ class AccuracyTable:
     @classmethod
     def from_averaged(cls, modalities, averaged, note: str = "") -> "AccuracyTable":
         universe = tuple(modalities)
-        cells = (((combo, 0), value) for combo, value in averaged.items())
-        return cls(universe, (), _fill(universe, 1, len(averaged), cells), note)
+        entries = ((combo, (0,), (value,)) for combo, value in averaged.items())
+        return cls(universe, (), _fill(universe, 1, len(averaged), entries), note)
 
     @classmethod
     def from_per_strategy(cls, modalities, strategies, per_strategy, note: str = "") -> "AccuracyTable":
         universe, strategies = tuple(modalities), tuple(strategies)
-        if not strategies:
-            raise ValueError("per-strategy entries given without strategy list")
-        column = {s: k for k, s in enumerate(strategies)}
-        if len(column) != len(strategies):
-            raise ValueError("strategy names must be distinct")
-        if not {str(s) for _, s in per_strategy} <= column.keys():
-            raise ValueError("per-strategy entries do not cover combinations x strategies")
-        cells = (((c, column[str(s)]), v) for (c, s), v in per_strategy.items())
-        values = _fill(universe, len(strategies), len(per_strategy), cells)
+        column = _columns(strategies, (s for _, s in per_strategy))
+        entries = ((c, (column[str(s)],), (v,)) for (c, s), v in per_strategy.items())
+        values = _fill(universe, len(strategies), len(per_strategy), entries)
         return cls(universe, strategies, values, note)
 
     @property
@@ -450,18 +476,29 @@ class AccuracyTable:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "AccuracyTable":
-        """Inverse of :meth:`to_dict`; a missing field raises ``ValueError`` naming it."""
+        """Inverse of :meth:`to_dict`; a missing field raises ``ValueError`` naming it.
+
+        Each entry fills one row. Its ``averaged`` value must be a number but
+        is not compared with the mean of its strategies.
+        """
         modalities = tuple(_field(payload, "modalities", "accuracy table"))
         strategies = tuple(payload.get("strategies", ()))
-        averaged = {}
-        per_strategy = {}
+        note = payload.get("note", "")
+        averaged: dict[tuple, float] = {}
+        given: list[tuple[tuple, list[float]]] = []  # per entry, strategy names and values
         for i, row in enumerate(_field(payload, "entries", "accuracy table")):
             combo = tuple(_field(row, "combination", f"accuracy table entry {i}"))
             if combo in averaged:
                 raise ValueError(f"duplicate entry for combination {sorted(combo)}")
             averaged[combo] = float(_field(row, "averaged", f"accuracy table entry {i}"))
-            for s, v in row.get("strategies", {}).items():
-                per_strategy[(combo, s)] = float(v)
-        if strategies:
-            return cls.from_per_strategy(modalities, strategies, per_strategy, payload.get("note", ""))
-        return cls.from_averaged(modalities, averaged, payload.get("note", ""))
+            cells = row.get("strategies", {})
+            given.append((tuple(cells), [float(v) for v in cells.values()]))
+        if not strategies:
+            return cls.from_averaged(modalities, averaged, note)
+        orders = {names for names, _ in given}
+        column = _columns(strategies, itertools.chain.from_iterable(orders))
+        columns = {names: tuple(column[str(s)] for s in names) for names in orders}
+        entries = ((combo, columns[names], cells) for combo, (names, cells) in zip(averaged, given))
+        n_cells = sum(len(names) for names, _ in given)
+        values = _fill(modalities, len(strategies), n_cells, entries)
+        return cls(modalities, strategies, values, note)

@@ -5,13 +5,23 @@ Floats are written with ``repr``, whose shortest round-trip form reloads to
 the identical bit pattern, so serializing and reloading a bundle is lossless.
 Row order in every file is authoritative; sample ids are only checked for
 consistency across the files of one bundle.
+
+Matrix and label files without quotes or carriage returns are split with
+``str.split`` and parsed with ``np.loadtxt``; any other file, and any file
+that path rejects, goes through ``csv.reader``, which gives the same values
+and names the file and line of an error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
+import itertools
 import json
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -58,44 +68,148 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_matrix_csv(path, matrix: np.ndarray, column_names: Sequence[str], sample_ids=None) -> None:
-    matrix = np.asarray(matrix)
-    if sample_ids is None:
-        sample_ids = [str(i) for i in range(matrix.shape[0])]
+_BLOCK_ROWS = 128
+_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _quote(field) -> str:
+    """A text field as ``csv.writer`` writes it: quoted only where it has to be."""
+    field = str(field)
+    if _QUOTED.search(field) is None:
+        return field
+    # Rare; csv.writer itself decides, since the Python versions differ on '\r'.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([field])
+    return buf.getvalue()[:-1]
+
+
+def _float_rows(matrix: np.ndarray):
+    """Rows of a float matrix as lists of Python floats, converted a block at a time."""
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        yield from matrix[start : start + _BLOCK_ROWS].tolist()
+
+
+def _write_csv(path, header: Sequence[str], lines) -> None:
+    """Write a header of text fields, then the body ``lines``, one write per block.
+
+    Each line ends in a newline; a block holds at most ``_BLOCK_ROWS`` lines.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", *column_names])
-        for sid, row in zip(sample_ids, matrix):
-            writer.writerow([sid, *(_fmt(v) for v in row)])
+        fh.write(",".join(map(_quote, header)) + "\n")
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            fh.write("".join(block))
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: invalid UTF-8: {err}") from None
+
+
+# Where the text holds none of these, csv.reader splits each line exactly as
+# str.split(",") does, and on ASCII text np.loadtxt accepts no number that
+# float() rejects (it reads \x1c-\x1f as spaces; float() does not).
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
+
+
+def _plain_lines(text: str) -> tuple[list[str], list[str]] | None:
+    """Header fields and nonblank body lines of text the fast readers may split.
+
+    None where the text may need csv.reader or float(): quotes, carriage
+    returns, NUL, \x1c-\x1f, non-ASCII rows, or a row whose field count
+    differs from the header's.
+    """
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    head, *lines = text.split("\n")
+    lines = [line for line in lines if line]
+    if not text.isascii() and not all(map(str.isascii, lines)):
+        return None
+    n_commas = head.count(",")
+    if any(line.count(",") != n_commas for line in lines):
+        return None
+    return head.split(","), lines
+
+
+def _records(path, text: str):
+    """``(record number, fields)`` of every CSV record; csv errors name the file."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from enumerate(reader, start=1)
+    except csv.Error as err:
+        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+
+
+@contextlib.contextmanager
+def _at(path, lineno: int):
+    """Prefix a ValueError raised inside with ``path:lineno``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}:{lineno}: {err}") from None
+
+
+def _finite(fields: Sequence[str]) -> list[float]:
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ValueError("non-numeric value") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    return values
+
+
+def write_matrix_csv(path, matrix: np.ndarray, column_names: Sequence[str], sample_ids=None) -> None:
+    matrix = np.asarray(matrix, dtype=np.float64)
+    ids = map(str, range(len(matrix))) if sample_ids is None else map(_quote, sample_ids)
+    lines = (f"{sid},{','.join(map(repr, row))}\n" for sid, row in zip(ids, _float_rows(matrix)))
+    _write_csv(path, ["sample_id", *column_names], lines)
 
 
 def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a sample_id-keyed CSV matrix; returns (ids, column names, values)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if not header or header[0] != "sample_id":
-            raise ValueError(f"{path}: first header column must be 'sample_id'")
-        columns = header[1:]
-        if not columns:
-            raise ValueError(f"{path}: no value columns")
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            ids.append(row[0])
+    plain = _plain_lines(_read_text(path))  # the text is not kept: the fallback reads it again
+    if plain is not None:
+        header, lines = plain
+        if header[0] == "sample_id" and len(header) > 1 and lines:
             try:
-                rows.append([float(v) for v in row[1:]])
+                values = np.loadtxt(
+                    lines, delimiter=",", usecols=range(1, len(header)), comments=None, ndmin=2
+                )
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+                values = None
+            if values is not None and np.isfinite(values).all():
+                return [line[: line.index(",")] for line in lines], header[1:], values
+    return _matrix_from_records(path, _read_text(path))
+
+
+def _matrix_from_records(path, text: str) -> tuple[list[str], list[str], np.ndarray]:
+    """read_matrix_csv through csv.reader: every input, every error message."""
+    records = _records(path, text)
+    try:
+        _, header = next(records)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if not header or header[0] != "sample_id":
+        raise ValueError(f"{path}: first header column must be 'sample_id'")
+    columns = header[1:]
+    if not columns:
+        raise ValueError(f"{path}: no value columns")
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        ids.append(row[0])
+        with _at(path, lineno):
+            rows.append(_finite(row[1:]))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return ids, columns, np.array(rows, dtype=np.float64)
@@ -103,35 +217,39 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
 
 def write_labels_csv(path, labels: LabelVector, sample_ids=None) -> None:
     values = labels.values
-    if sample_ids is None:
-        sample_ids = [str(i) for i in range(len(values))]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label"])
-        for sid, value in zip(sample_ids, values):
-            writer.writerow([sid, int(value)])
+    ids = map(str, range(len(values))) if sample_ids is None else map(_quote, sample_ids)
+    _write_csv(path, ["sample_id", "label"], (f"{sid},{v}\n" for sid, v in zip(ids, values.tolist())))
 
 
 def read_labels_csv(path) -> tuple[list[str], LabelVector]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label"]:
-            raise ValueError(f"{path}: expected header 'sample_id,label'")
-        ids: list[str] = []
-        values: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields")
-            ids.append(row[0])
-            try:
-                values.append(int(row[1]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: labels must be integer class indices") from None
+    plain = _plain_lines(_read_text(path))
+    if plain is not None and plain[0] == ["sample_id", "label"] and plain[1]:
+        ids, _, fields = zip(*(line.partition(",") for line in plain[1]))
+        try:
+            return list(ids), LabelVector(np.array(list(map(int, fields)), dtype=np.int64))
+        except ValueError:
+            pass
+    return _labels_from_records(path, _read_text(path))
+
+
+def _labels_from_records(path, text: str) -> tuple[list[str], LabelVector]:
+    """read_labels_csv through csv.reader: every input, every error message."""
+    records = _records(path, text)
+    _, header = next(records, (1, None))
+    if header != ["sample_id", "label"]:
+        raise ValueError(f"{path}: expected header 'sample_id,label'")
+    ids: list[str] = []
+    values: list[int] = []
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 fields")
+        ids.append(row[0])
+        try:
+            values.append(int(row[1]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: labels must be integer class indices") from None
     if not values:
         raise ValueError(f"{path}: no data rows")
     return ids, LabelVector(np.array(values, dtype=np.int64))
@@ -274,28 +392,23 @@ def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
 
 
 def write_keypoints_csv(path, keypoints: Keypoints) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "confidence"])
-        for x, y, c in keypoints.joints:
-            writer.writerow([_fmt(x), _fmt(y), _fmt(c)])
+    lines = (",".join(map(repr, row)) + "\n" for row in keypoints.joints.tolist())
+    _write_csv(path, ["x", "y", "confidence"], lines)
 
 
 def read_keypoints_csv(path) -> Keypoints:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y", "confidence"]:
-            raise ValueError(f"{path}: expected header 'x,y,confidence'")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields")
-            rows.append([float(v) for v in row])
+    records = _records(path, _read_text(path))
+    _, header = next(records, (1, None))
+    if header != ["x", "y", "confidence"]:
+        raise ValueError(f"{path}: expected header 'x,y,confidence'")
+    rows = []
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 fields")
+        with _at(path, lineno):
+            rows.append(Keypoints([_finite(row)]).joints[0])
     return Keypoints(np.array(rows, dtype=np.float64).reshape(-1, 3))
 
 
@@ -303,68 +416,57 @@ def read_detections_csv(path) -> DetectionSet:
     """Read one frame's detections: exactly one person row plus object rows."""
     person = None
     objects = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["role", "class_index", "x_min", "y_min", "x_max", "y_max"]
-        if header != expected:
-            raise ValueError(f"{path}: expected header '{','.join(expected)}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields")
+    records = _records(path, _read_text(path))
+    _, header = next(records, (1, None))
+    expected = ["role", "class_index", "x_min", "y_min", "x_max", "y_max"]
+    if header != expected:
+        raise ValueError(f"{path}: expected header '{','.join(expected)}'")
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 fields")
+        with _at(path, lineno):
             role = row[0]
-            box = Box(*(float(v) for v in row[2:6]))
+            box = Box(*_finite(row[2:6]))
             if role == "person":
                 if person is not None:
-                    raise ValueError(f"{path}:{lineno}: more than one person row")
+                    raise ValueError("more than one person row")
                 person = box
             elif role == "object":
                 objects.append((int(row[1]), box))
+                DetectionSet(box, objects[-1:])  # checks the class index where the line is known
             else:
-                raise ValueError(f"{path}:{lineno}: role must be 'person' or 'object'")
+                raise ValueError("role must be 'person' or 'object'")
     if person is None:
         raise ValueError(f"{path}: no person row")
     return DetectionSet(person, tuple(objects))
 
 
 def write_detections_csv(path, detections: DetectionSet) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["role", "class_index", "x_min", "y_min", "x_max", "y_max"])
-        pb = detections.person_box
-        writer.writerow(["person", "", _fmt(pb.x_min), _fmt(pb.y_min), _fmt(pb.x_max), _fmt(pb.y_max)])
-        for class_index, box in detections.objects:
-            writer.writerow(
-                ["object", class_index, _fmt(box.x_min), _fmt(box.y_min), _fmt(box.x_max), _fmt(box.y_max)]
-            )
+    rows = [("person", "", detections.person_box), *(("object", c, b) for c, b in detections.objects)]
+    lines = (
+        f"{role},{c},{','.join(map(_fmt, (b.x_min, b.y_min, b.x_max, b.y_max)))}\n" for role, c, b in rows
+    )
+    _write_csv(path, ["role", "class_index", "x_min", "y_min", "x_max", "y_max"], lines)
 
 
 def write_table_csv(path, table: AccuracyTable) -> None:
     """Accuracy table as CSV, values in percent; one row per combination."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["combination", *table.strategies, "averaged"])
-        # A table without strategies holds only the averaged column.
-        columns = np.column_stack((table.values, table.column())) if table.strategies else table.values
-        for combo, row in zip(table.combinations(), (100.0 * columns).tolist()):
-            writer.writerow(["+".join(combo), *map(_fmt, row)])
+    # A table without strategies holds only the averaged column.
+    columns = np.column_stack((table.values, table.column())) if table.strategies else table.values
+    lines = (
+        f"{_quote('+'.join(combo))},{','.join(map(repr, row))}\n"
+        for combo, row in zip(table.combinations(), _float_rows(100.0 * columns))
+    )
+    _write_csv(path, ["combination", *table.strategies, "averaged"], lines)
 
 
 def write_contribution_csv(path, report) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     strategies = list(report.per_strategy)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["modality", "contribution_percent", *strategies, "positive"])
-        for name in report.modalities:
-            row = [name, _fmt(report.averaged[name])]
-            row.extend(_fmt(report.per_strategy[s][name]) for s in strategies)
-            row.append("yes" if name in report.positive else "no")
-            writer.writerow(row)
+    lines = []
+    for name in report.modalities:
+        values = [report.averaged[name], *(report.per_strategy[s][name] for s in strategies)]
+        positive = "yes" if name in report.positive else "no"
+        lines.append(f"{_quote(name)},{','.join(map(_fmt, values))},{positive}\n")
+    _write_csv(path, ["modality", "contribution_percent", *strategies, "positive"], lines)

@@ -223,7 +223,11 @@ def write_pgm(image: RasterImage, path, binary: bool = True) -> None:
 
 
 def read_pgm(path) -> RasterImage:
-    """Read a P2/P5 graymap back into a raster (values rescaled to [0, 1])."""
+    """Read a P2/P5 graymap back into a raster (values rescaled to [0, 1]).
+
+    Binary samples take two bytes, most significant first, when maxval
+    exceeds 255. A sample above maxval or a short raster is an error.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     fields: list[bytes] = []
@@ -239,15 +243,32 @@ def read_pgm(path) -> RasterImage:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
-    magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    magic = fields[0]
+    if magic not in (b"P2", b"P5"):
+        raise ValueError(f"{path}: unsupported graymap magic {magic!r}")
+    try:
+        width, height, maxval = map(int, fields[1:])
+    except ValueError:
+        raise ValueError(f"{path}: malformed graymap header") from None
     if maxval <= 0:
         raise ValueError(f"{path}: graymap maxval must be positive, got {maxval}")
+    if maxval > 65535:
+        raise ValueError(f"{path}: graymap maxval must be at most 65535, got {maxval}")
+    if width < 0 or height < 0:
+        raise ValueError(f"{path}: graymap dimensions must be nonnegative")
     pos += 1
     if magic == b"P5":
-        raw = np.frombuffer(data[pos : pos + width * height], dtype=np.uint8)
-    elif magic == b"P2":
-        raw = np.array(data[pos:].split(), dtype=np.uint8)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        samples = data[pos : pos + width * height * dtype.itemsize]
+        raw = np.frombuffer(samples[: len(samples) - len(samples) % dtype.itemsize], dtype=dtype)
     else:
-        raise ValueError(f"unsupported graymap magic {magic!r}")
+        try:
+            raw = np.array([int(v) for v in data[pos:].split()], dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: graymap samples must be integers") from None
+    if raw.size != width * height:
+        raise ValueError(f"{path}: expected {width * height} graymap samples, found {raw.size}")
+    if raw.size and (raw.min() < 0 or raw.max() > maxval):
+        raise ValueError(f"{path}: graymap sample outside [0, {maxval}]")
     grid = raw.reshape(height, width).astype(np.float64) / float(maxval)
     return RasterImage(grid)

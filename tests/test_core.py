@@ -1,7 +1,11 @@
+import copy
+import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modselect import (
     AccuracyTable,
@@ -283,3 +287,126 @@ class TestAccuracyTable:
         with pytest.raises(ValueError, match="do not fit the table"):
             AccuracyTable(tuple(payload["modalities"]), (), np.zeros((1, 1)))
         assert time.perf_counter() - start < 0.5
+
+
+def per_cell_from_dict(payload):
+    """The table load as it was before entries filled whole rows: one dict entry per cell."""
+
+    def field(record, name, where):
+        try:
+            return record[name]
+        except (KeyError, TypeError):
+            raise ValueError(f"{where} has no {name!r} field") from None
+
+    modalities = tuple(field(payload, "modalities", "accuracy table"))
+    strategies = tuple(payload.get("strategies", ()))
+    averaged = {}
+    per_strategy = {}
+    for i, row in enumerate(field(payload, "entries", "accuracy table")):
+        combo = tuple(field(row, "combination", f"accuracy table entry {i}"))
+        if combo in averaged:
+            raise ValueError(f"duplicate entry for combination {sorted(combo)}")
+        averaged[combo] = float(field(row, "averaged", f"accuracy table entry {i}"))
+        for s, v in row.get("strategies", {}).items():
+            per_strategy[(combo, s)] = float(v)
+    if strategies:
+        return AccuracyTable.from_per_strategy(modalities, strategies, per_strategy, payload.get("note", ""))
+    return AccuracyTable.from_averaged(modalities, averaged, payload.get("note", ""))
+
+
+@st.composite
+def stored_tables(draw):
+    """A table's to_dict payload, JSON round-tripped, then maybe damaged."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=3, unique=True))
+    strategies = draw(st.sampled_from([(), ("sum",), ("sum", "max"), ("max", "sum", "median")]))
+    combos = all_combinations(names)
+    fractions = st.floats(0.0, 1.0)
+    width = max(1, len(strategies))
+    values = np.array([draw(st.lists(fractions, min_size=width, max_size=width)) for _ in combos])
+    values[: len(names)] = values[: len(names), :1]  # singletons agree across strategies
+    table = AccuracyTable(tuple(names), strategies, values, draw(st.sampled_from(["", "n"])))
+    payload = json.loads(json.dumps(table.to_dict()))
+    entries = payload["entries"]
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        i = draw(st.integers(0, len(entries) - 1))
+        entry = entries[i]
+        cells = entry.get("strategies", {})
+        kind = draw(st.sampled_from([
+            "drop", "permuted copy", "drop averaged", "bad averaged", "bad cell", "drop cell", "extra cell",
+            "unknown combination", "repeated name", "empty combination", "shuffle", "reorder cells",
+            "strategy list", "cell out of range", "drop strategies", "averaged off the mean",
+        ]))
+        if kind == "drop" and len(entries) > 1:
+            del entries[i]
+        elif kind == "permuted copy":
+            entries.append({**copy.deepcopy(entry), "combination": entry["combination"][::-1]})
+        elif kind == "drop averaged":
+            entry.pop("averaged", None)
+        elif kind == "bad averaged":
+            entry["averaged"] = draw(st.sampled_from(["x", None, "0.5", 2.0, float("nan")]))
+        elif kind == "bad cell" and cells:
+            bad = draw(st.sampled_from(["x", None, "0.5", float("nan")]))
+            cells[draw(st.sampled_from(sorted(cells)))] = bad
+        elif kind == "drop cell" and cells:
+            del cells[draw(st.sampled_from(sorted(cells)))]
+        elif kind == "extra cell":
+            entry.setdefault("strategies", {})[draw(st.sampled_from(["sum", "borda"]))] = 0.5
+        elif kind == "unknown combination":
+            entries.insert(i, {"combination": ["z"], "averaged": 0.5})
+        elif kind == "repeated name":
+            entry["combination"] = entry["combination"] + entry["combination"][:1]
+        elif kind == "empty combination":
+            entry["combination"] = []
+        elif kind == "shuffle":
+            entries[:] = draw(st.permutations(entries))
+        elif kind == "reorder cells" and cells:
+            entry["strategies"] = dict(draw(st.permutations(list(cells.items()))))
+        elif kind == "strategy list":
+            lists = [[], ["sum", "sum"], ["sum"], ["max", "sum", "median", "borda"]]
+            payload["strategies"] = draw(st.sampled_from(lists))
+        elif kind == "cell out of range" and cells:
+            cells[draw(st.sampled_from(sorted(cells)))] = draw(st.sampled_from([1.5, -0.1]))
+        elif kind == "drop strategies":
+            entry.pop("strategies", None)
+        elif kind == "averaged off the mean":
+            entry["averaged"] = 0.123
+    return payload
+
+
+def load(build, payload):
+    try:
+        table = build(payload)
+    except (ValueError, KeyError, TypeError) as err:
+        return type(err).__name__, str(err)
+    return table.modalities, table.strategies, table.note, table.values.shape, table.values.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=stored_tables())
+def test_from_dict_matches_the_per_cell_build(payload):
+    assert load(AccuracyTable.from_dict, payload) == load(per_cell_from_dict, payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=stored_tables())
+def test_from_dict_inverts_to_dict(payload):
+    try:
+        table = AccuracyTable.from_dict(payload)
+    except (ValueError, KeyError, TypeError):
+        return
+    for stored in (table.to_dict(), json.loads(json.dumps(table.to_dict()))):
+        clone = AccuracyTable.from_dict(stored)
+        assert (clone.modalities, clone.strategies, clone.note) == (table.modalities, table.strategies, table.note)
+        assert clone.values.tobytes() == table.values.tobytes()
+        assert clone.column().tobytes() == table.column().tobytes()
+
+
+def test_from_dict_cells_naming_one_strategy_twice_are_duplicates():
+    # Keys that differ but read as the same strategy name fill one cell twice.
+    payload = {
+        "modalities": ["a"],
+        "strategies": ["1"],
+        "entries": [{"combination": ["a"], "averaged": 0.5, "strategies": {"1": 0.5, 1: 0.5}}],
+    }
+    want = ("ValueError", "duplicate entry for combination ['a']")
+    assert load(AccuracyTable.from_dict, payload) == load(per_cell_from_dict, payload) == want

@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from modselect import AccuracyTable, sweep
+from modselect import AccuracyTable, LabelVector, contribution_report, dataio, sweep
 from modselect.dataio import (
     dump_json,
     load_bundle,
@@ -11,10 +15,13 @@ from modselect.dataio import (
     load_manifest,
     read_detections_csv,
     read_keypoints_csv,
+    read_labels_csv,
     read_matrix_csv,
     write_bundle,
+    write_contribution_csv,
     write_detections_csv,
     write_keypoints_csv,
+    write_labels_csv,
     write_matrix_csv,
     write_table_csv,
 )
@@ -203,3 +210,224 @@ def test_table_csv_and_json(tmp_path, rng):
     )
     for combo in table.combinations():
         assert clone.value(combo) == table.value(combo)
+
+
+# --- Fast readers and writers against the csv module -----------------------
+
+FIELDS = st.one_of(
+    st.text(alphabet="0123456789.eE+-_ \t", max_size=6),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "5e-324", "-0.0", "#", '"1"', '"a,b"', "\x1c1", "\u0661"]),
+    st.floats().map(repr),
+)
+HEADERS = st.sampled_from(
+    [
+        "sample_id,a,b", "sample_id,a", "sample_id", "sample_id,label", "id,a", 'sample_id,"a,b"',
+        "#sample_id,a", "",
+    ]
+)
+NUMBERS = st.floats().map(repr) | st.sampled_from(["1", " 0.5\t", "-0.0", "5e-324", ".5", "+1", "1.", "1E5"])
+LABELS = st.integers(-3, 30).map(str) | st.sampled_from([" 3", "+1", "1_0", "1.0", "\u0663", ""])
+
+
+@st.composite
+def csv_texts(draw, labels=False):
+    """Mostly well-formed matrix (or labels) files, some with one odd row or field."""
+    n = 1 if labels else draw(st.integers(1, 3))
+    header = draw(HEADERS | st.just("sample_id,label" if labels else ",".join(["sample_id", *"abc"[:n]])))
+    ids = st.sampled_from(["0", "x", "", "#1", " 7"])
+    values = st.lists(LABELS if labels else NUMBERS, min_size=n, max_size=n)
+    good = st.tuples(ids, values).map(lambda r: ",".join([r[0], *r[1]]))
+    odd = st.lists(FIELDS, max_size=5).map(",".join)
+    rows = draw(st.lists(good | st.just(""), max_size=6))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(odd)
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as err:
+        return ("error", str(err))
+
+
+def same_matrix(left, right):
+    if left[0] == "error" or right[0] == "error":
+        return left == right
+    (ids, columns, values), (ids2, columns2, values2) = left, right
+    return (ids, columns, values.shape, values.tobytes()) == (ids2, columns2, values2.shape, values2.tobytes())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_fast_matrix_reader_matches_csv_path(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert same_matrix(outcome(read_matrix_csv, path), outcome(dataio._matrix_from_records, path, text))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts(labels=True))
+def test_fast_labels_reader_matches_csv_path(tmp_path, text):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast, slow = outcome(read_labels_csv, path), outcome(dataio._labels_from_records, path, text)
+    if fast[0] == "error" or slow[0] == "error":
+        assert fast == slow
+    else:
+        assert fast[0] == slow[0] and fast[1].values.tobytes() == slow[1].values.tobytes()
+
+
+def test_plain_lines_only_where_csv_reader_splits_alike():
+    assert dataio._plain_lines("sample_id,a\n0,0.5\n\n1,nan\n") == (["sample_id", "a"], ["0,0.5", "1,nan"])
+    odd = ['sample_id,a\n0,"1"\n', "sample_id,a\r\n0,1\r\n", "sample_id,a\n0,1\x1c\n", "sample_id,a\n0,1,2\n"]
+    for text in odd:
+        assert dataio._plain_lines(text) is None
+
+
+TEXT = st.text(alphabet='ab,"\r\n #+', max_size=5)
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, float("nan"), float("inf"), 0.1, 1 / 3])
+
+
+def csv_reference(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n_rows=st.integers(0, 1100), n_cols=st.integers(1, 4))
+def test_matrix_writer_matches_csv_writer(tmp_path, data, n_rows, n_cols):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** data.draw(st.integers(-300, 300))
+    matrix = np.random.default_rng(seed).standard_normal((n_rows, n_cols)) * scale
+    for _ in range(data.draw(st.integers(0, 8)) if n_rows else 0):
+        cell = data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n_cols - 1))
+        matrix[cell] = data.draw(SPECIAL)
+    columns = data.draw(st.lists(TEXT, min_size=n_cols, max_size=n_cols))
+    ids = data.draw(st.none() | st.lists(TEXT, min_size=min(n_rows, 3), max_size=min(n_rows, 3)))
+    if ids is not None and n_rows > 3:
+        ids += [str(i) for i in range(3, n_rows)]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, matrix, columns, ids)
+    row_ids = ids if ids is not None else [str(i) for i in range(n_rows)]
+    rows = [[sid, *(repr(float(v)) for v in row)] for sid, row in zip(row_ids, matrix)]
+    assert path.read_bytes() == csv_reference(["sample_id", *columns], rows)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(TEXT.filter(bool), min_size=2, max_size=3, unique=True), seed=st.integers(0, 2**32 - 1))
+def test_table_and_contribution_writers_match_csv_writer(tmp_path, names, seed):
+    rng = np.random.default_rng(seed)
+    scores = [simplex_rows(rng, 30, 3) for _ in names]
+    table = sweep(make_bundle(scores, labels=rng.integers(0, 3, 30), names=names))
+    write_table_csv(tmp_path / "table.csv", table)
+    columns = np.column_stack((table.values, table.column()))
+    rows = [["+".join(c), *map(repr, (100.0 * row).tolist())] for c, row in zip(table.combinations(), columns)]
+    header = ["combination", *table.strategies, "averaged"]
+    assert (tmp_path / "table.csv").read_bytes() == csv_reference(header, rows)
+
+    report = contribution_report(table)
+    write_contribution_csv(tmp_path / "contrib.csv", report)
+    strategies = list(report.per_strategy)
+    rows = [
+        [n, repr(float(report.averaged[n])), *(repr(float(report.per_strategy[s][n])) for s in strategies),
+         "yes" if n in report.positive else "no"]
+        for n in report.modalities
+    ]
+    header = ["modality", "contribution_percent", *strategies, "positive"]
+    assert (tmp_path / "contrib.csv").read_bytes() == csv_reference(header, rows)
+
+
+def test_small_writers_match_csv_writer(tmp_path):
+    labels = LabelVector(np.array([0, 2, 1]))
+    write_labels_csv(tmp_path / "labels.csv", labels, ["a,b", 'q"', "c\nd"])
+    rows = [["a,b", 0], ['q"', 2], ["c\nd", 1]]
+    assert (tmp_path / "labels.csv").read_bytes() == csv_reference(["sample_id", "label"], rows)
+    kp = Keypoints([[1.5, -0.0, 0.5], [1e300, 5e-324, 1.0]])
+    write_keypoints_csv(tmp_path / "kp.csv", kp)
+    rows = [[repr(float(v)) for v in joint] for joint in kp.joints]
+    assert (tmp_path / "kp.csv").read_bytes() == csv_reference(["x", "y", "confidence"], rows)
+    det = DetectionSet(Box(0, 0.5, 4, 4), ((3, Box(5, 5, 7, 7.25)),))
+    write_detections_csv(tmp_path / "det.csv", det)
+    rows = [["person", "", "0.0", "0.5", "4.0", "4.0"], ["object", 3, "5.0", "5.0", "7.0", "7.25"]]
+    header = ["role", "class_index", "x_min", "y_min", "x_max", "y_max"]
+    assert (tmp_path / "det.csv").read_bytes() == csv_reference(header, rows)
+
+
+# --- Reader errors name the file and line -----------------------------------
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_matrix_reader_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "m.csv"
+    path.write_text(f"sample_id,a,b\n0,0.5,0.5\n1,{value},0.5\n")
+    with pytest.raises(ValueError) as err:
+        read_matrix_csv(path)
+    assert str(err.value) == f"{path}:3: non-finite value"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1,nan,0.5", "non-finite value"),
+        ("1,2,inf", "non-finite value"),
+        ("1,2,abc", "non-numeric value"),
+        ("1,2,1.5", "joint confidences must lie in [0, 1]"),
+    ],
+)
+def test_keypoint_errors_name_file_and_line(tmp_path, body, message):
+    path = tmp_path / "kp.csv"
+    path.write_text(f"x,y,confidence\n0,0,1\n{body}\n")
+    with pytest.raises(ValueError) as err:
+        read_keypoints_csv(path)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("object,1,0,0,inf,1", "non-finite value"),
+        ("object,1,0,0,x,1", "non-numeric value"),
+        ("object,1,5,0,1,1", "box extent must be nonnegative"),
+        ("object,-2,0,0,1,1", "object class indices must be nonnegative"),
+        ("object,one,0,0,1,1", "invalid literal for int() with base 10: 'one'"),
+        ("person,,0,0,1,1", "more than one person row"),
+        ("robot,,0,0,1,1", "role must be 'person' or 'object'"),
+    ],
+)
+def test_detection_errors_name_file_and_line(tmp_path, body, message):
+    path = tmp_path / "det.csv"
+    path.write_text(f"role,class_index,x_min,y_min,x_max,y_max\nperson,,0,0,1,1\n{body}\n")
+    with pytest.raises(ValueError) as err:
+        read_detections_csv(path)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize(
+    "read, header",
+    [
+        (read_matrix_csv, "sample_id,a"),
+        (read_labels_csv, "sample_id,label"),
+        (read_keypoints_csv, "x,y,confidence"),
+        (read_detections_csv, "role,class_index,x_min,y_min,x_max,y_max"),
+    ],
+)
+def test_non_utf8_bytes_name_the_file(tmp_path, read, header):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(header.encode() + b"\n0,\xff\n")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_csv_module_errors_name_the_file(tmp_path):
+    # NUL is a csv.Error on some Python versions and a non-numeric field on others.
+    path = tmp_path / "nul.csv"
+    path.write_text("sample_id,a\n0,1\x00\n")
+    with pytest.raises(ValueError) as err:
+        read_matrix_csv(path)
+    assert str(err.value).startswith(f"{path}:2: ")

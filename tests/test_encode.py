@@ -196,3 +196,33 @@ def test_pgm_nonpositive_maxval_rejected(tmp_path, maxval):
     path.write_bytes(b"P2\n2 1\n" + maxval + b"\n0 0\n")
     with pytest.raises(ValueError, match="maxval must be positive"):
         read_pgm(path)
+
+
+def test_pgm_sixteen_bit_samples_are_big_endian(tmp_path):
+    path = tmp_path / "wide.pgm"
+    path.write_bytes(b"P5\n2 1\n65535\n" + np.array([65535, 0], dtype=">u2").tobytes())
+    assert read_pgm(path).values.tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize("sample", [b"300", b"101"])
+def test_pgm_sample_above_maxval_rejected(tmp_path, sample):
+    path = tmp_path / "bright.pgm"
+    path.write_bytes(b"P2\n2 1\n100\n0 " + sample + b"\n")
+    with pytest.raises(ValueError, match=r"sample outside \[0, 100\]"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("raster", [b"P5\n2 2\n255\n\x00\x01", b"P2\n2 2\n255\n0 1\n"])
+def test_pgm_truncated_raster_rejected(tmp_path, raster):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(raster)
+    with pytest.raises(ValueError, match="expected 4 graymap samples, found 2"):
+        read_pgm(path)
+
+
+def test_pgm_unsupported_magic_names_the_file(tmp_path):
+    path = tmp_path / "color.ppm"
+    path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+    with pytest.raises(ValueError) as err:
+        read_pgm(path)
+    assert str(err.value) == f"{path}: unsupported graymap magic b'P6'"
