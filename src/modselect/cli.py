@@ -62,14 +62,7 @@ def _contribution_table(args) -> tuple[AccuracyTable, dict, dict]:
         return load_fixture(args.fixture), {}, {"source": "fixture", "fixture": args.fixture}
     if args.table:
         digest = {str(args.table): dataio.sha256_file(args.table)}
-        payload = dataio.load_json(args.table)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{args.table}: accuracy table file must hold a JSON object")
-        try:
-            table = AccuracyTable.from_dict(payload.get("table", payload))
-        except (ValueError, KeyError) as err:
-            raise ValueError(f"{args.table}: {err.args[0] if err.args else err}") from None
-        return table, digest, {"source": "table", "table": str(args.table)}
+        return dataio.load_table(args.table), digest, {"source": "table", "table": str(args.table)}
     bundle, digests = dataio.load_bundle(args.manifest)
     strategies = parse_strategies(args.strategies)
     table = sweep(bundle, strategies)
@@ -140,7 +133,11 @@ def cmd_select(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.scenario:
-        scenario = Scenario.from_dict(dataio.load_json(args.scenario))
+        payload = dataio.load_json(args.scenario)
+        try:
+            scenario = Scenario.from_dict(payload)
+        except ValueError as err:
+            raise ValueError(f"{args.scenario}: {err}") from None
     else:
         scenario = default_scenario(
             seed=args.seed,
@@ -169,7 +166,11 @@ def _load_skeleton(path) -> tuple[tuple[int, int], ...]:
     if not path:
         return DEFAULT_SKELETON
     edges = dataio.load_json(path)
-    return tuple((int(a), int(b)) for a, b in edges)
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(j) is int for j in e) for e in edges
+    ):
+        raise ValueError(f"{path}: skeleton must be a list of [joint, joint] index pairs")
+    return tuple((a, b) for a, b in edges)
 
 
 def cmd_encode(args) -> int:

@@ -310,7 +310,8 @@ def _row(universe: tuple[str, ...], combo: Iterable[str]) -> int:
     try:
         mask = functools.reduce(operator.or_, map(bit.__getitem__, names))
     except KeyError:
-        raise KeyError(f"unknown modalities in combination: {sorted(set(names) - bit.keys())}") from None
+        unknown = sorted(set(names) - bit.keys(), key=str)
+        raise KeyError(f"unknown modalities in combination: {unknown}") from None
     if mask.bit_count() != len(names):
         raise ValueError(f"modality combination {list(names)} repeats a name")
     return int(rows[mask])
@@ -367,11 +368,58 @@ def _columns(strategies: tuple[str, ...], names: Iterable) -> dict[str, int]:
     return column
 
 
-def _field(record: Mapping, name: str, where: str):
+_REQUIRED = object()
+# What each kind of JSON field must hold, as json.load gives it, and its name.
+_JSON_KINDS = {
+    str: (str, "a string"),
+    list: (list, "a list"),
+    dict: (dict, "an object"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "a boolean"),
+}
+
+
+def json_field(record: Mapping, name: str, where: str, kind: type = object, default=_REQUIRED):
+    """``record[name]`` if it holds JSON of ``kind`` (``float`` takes any number, as a float).
+
+    A missing field reads as ``default`` where one is given, and so does
+    null where that default is None. Anything else that is missing or of
+    another kind raises ``ValueError`` naming ``where`` and the field.
+    """
     try:
-        return record[name]
+        value = record[name]
     except (KeyError, TypeError):  # TypeError: the record is not a JSON object
-        raise ValueError(f"{where} has no {name!r} field") from None
+        if default is _REQUIRED or not isinstance(record, Mapping):
+            raise ValueError(f"{where} has no {name!r} field") from None
+        return default
+    if value is None and default is None:
+        return None
+    if kind is not object:
+        types, label = _JSON_KINDS[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{where}: {name!r} must be {label}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{where}: {name!r} is out of range") from None
+    return value
+
+
+def _numbers(values: Iterable, where: str, name: str) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: {name!r} must hold numbers") from None
+
+
+def json_names(record: Mapping, name: str, where: str, default=_REQUIRED) -> tuple[str, ...]:
+    """A field that must hold a list of strings, as a tuple."""
+    values = json_field(record, name, where, list, default)
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{where}: {name!r} must be a list of strings")
+    return tuple(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,23 +524,28 @@ class AccuracyTable:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "AccuracyTable":
-        """Inverse of :meth:`to_dict`; a missing field raises ``ValueError`` naming it.
+        """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it.
 
         Each entry fills one row. Its ``averaged`` value must be a number but
         is not compared with the mean of its strategies.
         """
-        modalities = tuple(_field(payload, "modalities", "accuracy table"))
-        strategies = tuple(payload.get("strategies", ()))
-        note = payload.get("note", "")
+        modalities = json_names(payload, "modalities", "accuracy table")
+        strategies = json_names(payload, "strategies", "accuracy table", ())
+        note = json_field(payload, "note", "accuracy table", str, "")
         averaged: dict[tuple, float] = {}
         given: list[tuple[tuple, list[float]]] = []  # per entry, strategy names and values
-        for i, row in enumerate(_field(payload, "entries", "accuracy table")):
-            combo = tuple(_field(row, "combination", f"accuracy table entry {i}"))
-            if combo in averaged:
-                raise ValueError(f"duplicate entry for combination {sorted(combo)}")
-            averaged[combo] = float(_field(row, "averaged", f"accuracy table entry {i}"))
-            cells = row.get("strategies", {})
-            given.append((tuple(cells), [float(v) for v in cells.values()]))
+        for i, row in enumerate(json_field(payload, "entries", "accuracy table", list)):
+            where = f"accuracy table entry {i}"
+            combo = tuple(json_field(row, "combination", where, list))
+            try:
+                duplicate = combo in averaged
+            except TypeError:  # a name that is a list or an object
+                raise ValueError(f"{where}: 'combination' must be a list of names") from None
+            if duplicate:
+                raise ValueError(f"duplicate entry for combination {sorted(combo, key=str)}")
+            averaged[combo] = _numbers([json_field(row, "averaged", where)], where, "averaged")[0]
+            cells = json_field(row, "strategies", where, dict, {})
+            given.append((tuple(cells), _numbers(cells.values(), where, "strategies")))
         if not strategies:
             return cls.from_averaged(modalities, averaged, note)
         orders = {names for names, _ in given}

@@ -6,10 +6,10 @@ the identical bit pattern, so serializing and reloading a bundle is lossless.
 Row order in every file is authoritative; sample ids are only checked for
 consistency across the files of one bundle.
 
-Matrix and label files without quotes or carriage returns are split with
-``str.split`` and parsed with ``np.loadtxt``; any other file, and any file
-that path rejects, goes through ``csv.reader``, which gives the same values
-and names the file and line of an error.
+CSV files are read with ``csv.reader``, which names the file and line of an
+error. Matrix files without quotes or carriage returns are first tried with
+``str.split`` and ``np.loadtxt``, which give the same values faster; any
+file that path rejects goes through ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .core import (
     LabelVector,
     ModalityRecord,
     ScoreMatrix,
+    json_field,
+    json_names,
     validate_bundle,
 )
 from .encode import Box, DetectionSet, Keypoints
@@ -62,6 +64,8 @@ def load_json(path):
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"{path}: invalid JSON: {err}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _fmt(value: float) -> str:
@@ -73,14 +77,11 @@ _QUOTED = re.compile(r'[,"\r\n]')
 
 
 def _quote(field) -> str:
-    """A text field as ``csv.writer`` writes it: quoted only where it has to be."""
+    """A text field, quoted where it holds ``,``, ``"``, ``\\r`` or ``\\n``; inner quotes doubled."""
     field = str(field)
     if _QUOTED.search(field) is None:
         return field
-    # Rare; csv.writer itself decides, since the Python versions differ on '\r'.
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([field])
-    return buf.getvalue()[:-1]
+    return '"' + field.replace('"', '""') + '"'
 
 
 def _float_rows(matrix: np.ndarray):
@@ -222,19 +223,7 @@ def write_labels_csv(path, labels: LabelVector, sample_ids=None) -> None:
 
 
 def read_labels_csv(path) -> tuple[list[str], LabelVector]:
-    plain = _plain_lines(_read_text(path))
-    if plain is not None and plain[0] == ["sample_id", "label"] and plain[1]:
-        ids, _, fields = zip(*(line.partition(",") for line in plain[1]))
-        try:
-            return list(ids), LabelVector(np.array(list(map(int, fields)), dtype=np.int64))
-        except ValueError:
-            pass
-    return _labels_from_records(path, _read_text(path))
-
-
-def _labels_from_records(path, text: str) -> tuple[list[str], LabelVector]:
-    """read_labels_csv through csv.reader: every input, every error message."""
-    records = _records(path, text)
+    records = _records(path, _read_text(path))
     _, header = next(records, (1, None))
     if header != ["sample_id", "label"]:
         raise ValueError(f"{path}: expected header 'sample_id,label'")
@@ -252,7 +241,21 @@ def _labels_from_records(path, text: str) -> tuple[list[str], LabelVector]:
             raise ValueError(f"{path}:{lineno}: labels must be integer class indices") from None
     if not values:
         raise ValueError(f"{path}: no data rows")
-    return ids, LabelVector(np.array(values, dtype=np.int64))
+    try:
+        return ids, LabelVector(np.array(values, dtype=np.int64))
+    except OverflowError:
+        raise ValueError(f"{path}: a label is outside the 64-bit integer range") from None
+
+
+def load_table(path) -> AccuracyTable:
+    """Read an accuracy table, bare or under the ``table`` key of an ``evaluate`` report."""
+    payload = load_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: accuracy table file must hold a JSON object")
+    try:
+        return AccuracyTable.from_dict(payload.get("table", payload))
+    except (ValueError, KeyError) as err:
+        raise ValueError(f"{path}: {err.args[0] if err.args else err}") from None
 
 
 @dataclass(frozen=True)
@@ -281,26 +284,25 @@ def load_manifest(path) -> Manifest:
     payload = load_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
+    top = f"{path}: manifest"
     entries = []
     seen = set()
-    for i, item in enumerate(payload.get("modalities", [])):
-        for field in ("name", "scores_path"):
-            if not isinstance(item, dict) or field not in item:
-                raise ValueError(f"{path}: modality {i} has no {field!r} field")
-        name = item["name"]
+    for i, item in enumerate(json_field(payload, "modalities", top, list, [])):
+        where = f"{path}: modality {i}"
+        name = json_field(item, "name", where, str)
+        scores_path = json_field(item, "scores_path", where, str)
         if name in seen:
             raise ValueError(f"{path}: duplicate modality {name!r}")
         seen.add(name)
-        entries.append(
-            ManifestModality(name, item["scores_path"], item.get("embeddings_path"))
-        )
+        embeddings_path = json_field(item, "embeddings_path", where, str, None)
+        entries.append(ManifestModality(name, scores_path, embeddings_path))
     if not entries:
         raise ValueError(f"{path}: manifest lists no modalities")
     return Manifest(
-        dataset=payload.get("dataset", path.stem),
-        class_names=tuple(payload.get("class_names", [])),
+        dataset=json_field(payload, "dataset", top, str, path.stem),
+        class_names=json_names(payload, "class_names", top, ()),
         modalities=tuple(entries),
-        labels_path=payload.get("labels_path"),
+        labels_path=json_field(payload, "labels_path", top, str, None),
         root=path.parent,
     )
 

@@ -86,29 +86,23 @@ def _median(matrices: list[np.ndarray]) -> np.ndarray:
     return rows[half].copy() if k % 2 else (rows[half - 1] + rows[half]) / 2
 
 
-def fuse(strategy: FusionStrategy, scores: Sequence, prefix: np.ndarray | None = None) -> np.ndarray:
+def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
     """Combine per-modality score matrices into one fused score matrix.
 
     The fused rows are not renormalized to the simplex; only their argmax is
     meaningful downstream. Borda count returns summed rank points.
-
-    ``prefix``, if given, must be ``fuse(strategy, scores[:-1])``; only the
-    last matrix is then folded into it, with the same result bit for bit.
-    Median has no such fold and ignores ``prefix``.
     """
     matrices = [as_matrix(s) for s in scores]
     if not matrices:
         raise ValueError("fuse needs at least one score matrix")
     shape = matrices[0].shape
-    if any(m.shape != shape for m in matrices) or (prefix is not None and prefix.shape != shape):
+    if any(m.shape != shape for m in matrices):
         raise ValueError("incompatible score matrices")
     if strategy is FusionStrategy.MEDIAN:
         return _median(matrices)
     if strategy not in _FOLDS:
         raise ValueError(f"unknown strategy {strategy!r}")
     term, fold = _FOLDS[strategy]
-    if prefix is not None:
-        return fold(prefix, term(matrices[-1]))
     fused = np.array(term(matrices[0]))  # a copy, never the caller's matrix
     for m in matrices[1:]:
         fused = fold(fused, term(m))
@@ -159,8 +153,9 @@ def sweep(
 
     Singleton combinations involve no fusion, so they are evaluated once and
     replicated across strategies. Each strategy walks the combinations depth
-    first: a combination extends its prefix (itself without its last member)
-    by one matrix, so at most one partial result per depth is live.
+    first: a combination folds its last member's term (built once per rule)
+    into its prefix's fused scores, with the same bits as ``fuse``; median
+    fuses each combination anew. At most one partial result per depth is live.
     More than ``MAX_DEFAULT_UNIVERSE`` modalities need ``allow_large=True``.
     """
     if bundle.labels is None:
@@ -187,17 +182,22 @@ def sweep(
 
     per_strategy = {}
 
-    def extend(strategy: FusionStrategy, combo: tuple[int, ...], fused: np.ndarray) -> None:
-        for last in range(combo[-1] + 1, n):
-            longer = combo + (last,)
-            scores = fuse(strategy, [matrices[i] for i in longer], prefix=fused)
+    def extend(strategy: FusionStrategy, step, combo: tuple[int, ...], fused: np.ndarray) -> None:
+        for longer in (combo + (last,) for last in range(combo[-1] + 1, n)):
+            scores = step(fused, longer)
             per_strategy[(tuple(names[i] for i in longer), strategy.value)] = accuracy(scores)
-            extend(strategy, longer, scores)
+            extend(strategy, step, longer, scores)
 
-    for i, single in enumerate(matrices):
-        acc = accuracy(single)
-        per_strategy.update({((names[i],), s.value): acc for s in strategy_list})
+    for name, acc in zip(names, map(accuracy, matrices)):
+        per_strategy.update({((name,), s.value): acc for s in strategy_list})
     for strategy in strategy_list:
+        if strategy is FusionStrategy.MEDIAN:
+            terms, step = matrices, lambda _, combo: fuse(strategy, [matrices[i] for i in combo])
+        else:  # a member's term is its one-matrix fusion; the folds never write into their inputs
+            term, fold = _FOLDS[strategy]
+            terms = matrices if term is np.asarray else [fuse(strategy, [m]) for m in matrices]
+            step = lambda fused, combo: fold(fused, terms[combo[-1]])  # noqa: E731
         for i in range(n - 1):  # the last modality has no later one to extend it
-            extend(strategy, (i,), fuse(strategy, [matrices[i]]))
+            extend(strategy, step, (i,), terms[i])
+        del terms, step  # one rule's terms are live at a time
     return AccuracyTable.from_per_strategy(names, [s.value for s in strategy_list], per_strategy)

@@ -180,11 +180,12 @@ class AggregatedMetrics:
     """Per-modality aggregated correlation and discrepancy values.
 
     ``mmd`` maps to None for modalities without comparable embeddings; those
-    are judged on correlation alone downstream.
+    are judged on correlation alone downstream. ``rho`` maps to None for a
+    modality whose correlation with every other modality is undefined.
     """
 
     names: tuple[str, ...]
-    rho: Mapping[str, float]
+    rho: Mapping[str, float | None]
     mmd: Mapping[str, float | None]
 
     def __post_init__(self):
@@ -192,12 +193,10 @@ class AggregatedMetrics:
         if set(self.rho) != set(names) or set(self.mmd) != set(names):
             raise ValueError("aggregated metrics must cover every modality exactly once")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "rho", {m: float(self.rho[m]) for m in names})
-        object.__setattr__(
-            self,
-            "mmd",
-            {m: (None if self.mmd[m] is None else float(self.mmd[m])) for m in names},
-        )
+        for field in ("rho", "mmd"):
+            values = getattr(self, field)
+            values = {m: None if values[m] is None else float(values[m]) for m in names}
+            object.__setattr__(self, field, values)
 
     def to_dict(self) -> dict:
         return {
@@ -210,16 +209,16 @@ def aggregated_from_matrices(
     discrepancies: PairMetricMatrix | None = None,
     exclude_self: bool = True,
 ) -> AggregatedMetrics:
-    """Aggregate pair matrices into per-modality values."""
-    rho: dict[str, float] = {}
-    mmd: dict[str, float | None] = {}
-    for name in correlations.names:
-        rho[name] = aggregate(correlations, name, exclude_self)
-        if discrepancies is None:
-            mmd[name] = None
-            continue
+    """Aggregate pair matrices into per-modality values; None where a modality has no partner."""
+
+    def known(pairs: PairMetricMatrix | None, name: str) -> float | None:
+        if pairs is None:
+            return None
         try:
-            mmd[name] = aggregate(discrepancies, name, exclude_self)
+            return aggregate(pairs, name, exclude_self)
         except ValueError:
-            mmd[name] = None
-    return AggregatedMetrics(correlations.names, rho, mmd)
+            return None
+
+    names = correlations.names
+    rho = {m: known(correlations, m) for m in names}
+    return AggregatedMetrics(names, rho, {m: known(discrepancies, m) for m in names})

@@ -235,7 +235,8 @@ def _decide(
     Each available metric is compared inclusively with its threshold. A
     subject with both is kept when either passes (``or``) or both pass
     (``and``); a subject with one is judged on it alone; a subject with
-    neither (only a pair can lack both) is dropped.
+    neither (a pair, or a modality with no comparable partner and no
+    comparable embeddings) is dropped.
     """
     rho_pass = None if rho is None else rho >= rho_thr.value
     mmd_pass = None if mmd is None or mmd_thr.value is None else mmd <= mmd_thr.value
@@ -247,7 +248,7 @@ def _decide(
     selected = bool(passes) and (any(passes) if consensus == "or" else all(passes))
     reasons = []
     if not passes:
-        reasons.append("no valid metrics for this pair")
+        reasons.append(f"no valid metrics for this {'pair' if isinstance(subject, tuple) else 'modality'}")
     elif not selected:
         if rho_pass is False:
             reasons.append(f"correlation {rho:.6g} below threshold {rho_thr.value:.6g}")
@@ -298,14 +299,22 @@ def aggregated_select(
     correlation threshold or (under the default ``or`` consensus) its
     aggregated discrepancy stays at or below the discrepancy threshold;
     ``and`` requires both. Modalities without comparable embeddings are
-    judged on correlation alone. Comparisons are inclusive.
+    judged on correlation alone, and modalities without a correlation
+    partner on discrepancy alone (or not at all, and dropped). Thresholds
+    come from the modalities that have the metric. Comparisons are inclusive.
     """
     names = metrics.names
     if len(names) < 2:
         raise ValueError("selection needs alternatives")
+    rho = [metrics.rho[m] for m in names]
     mmd = [metrics.mmd[m] for m in names]
-    notes = [_alone_note(m) for m, d in zip(names, mmd) if d is None]
-    report = _select("aggregated", names, [metrics.rho[m] for m in names], mmd, notes, config)
+    notes = [_alone_note(m) for m, r, d in zip(names, rho, mmd) if d is None and r is not None]
+    notes += [
+        f"modality {m!r} has no comparable partners: its correlation with every other modality is undefined"
+        for m, r in zip(names, rho)
+        if r is None
+    ]
+    report = _select("aggregated", names, rho, mmd, notes, config)
     return replace(report, aggregates=metrics)
 
 
@@ -357,19 +366,12 @@ def run_modselect(bundle: Bundle, config: ThresholdConfig = ThresholdConfig()) -
         raise ValueError("selection needs alternatives")
     correlations = correlation_matrix(work)
     discrepancies = mmd_matrix(work)
-    aggregates = None
+    aggregates = aggregated_from_matrices(correlations, discrepancies, config.exclude_self)
     if config.mode == "aggregated":
-        aggregates = aggregated_from_matrices(
-            correlations, discrepancies, config.exclude_self
-        )
         report = aggregated_select(aggregates, config)
     else:
         report = pairs_select(correlations, discrepancies, config)
-        try:
-            aggregates = aggregated_from_matrices(
-                correlations, discrepancies, config.exclude_self
-            )
-        except ValueError:
+        if None in aggregates.rho.values():  # a pairs report lists aggregates only when all are defined
             aggregates = None
     return replace(
         report,

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Bundle, EmbeddingMatrix, LabelVector, ModalityRecord, ScoreMatrix
+from .core import Bundle, EmbeddingMatrix, LabelVector, ModalityRecord, ScoreMatrix, json_field
 
 KINDS = ("good", "random", "shifted")
 
@@ -104,14 +104,16 @@ class ModalitySpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ModalitySpec":
+        """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it."""
+        where = "scenario modality"
         return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            accuracy=float(payload.get("accuracy", 0.7)),
-            coupling=float(payload.get("coupling", 0.85)),
-            embedding_offset=float(payload.get("embedding_offset", 0.0)),
-            noise_scale=float(payload.get("noise_scale", 1.0)),
-            embeddings=bool(payload.get("embeddings", True)),
+            name=json_field(payload, "name", where, str),
+            kind=json_field(payload, "kind", where, str),
+            accuracy=json_field(payload, "accuracy", where, float, 0.7),
+            coupling=json_field(payload, "coupling", where, float, 0.85),
+            embedding_offset=json_field(payload, "embedding_offset", where, float, 0.0),
+            noise_scale=json_field(payload, "noise_scale", where, float, 1.0),
+            embeddings=json_field(payload, "embeddings", where, bool, True),
         )
 
 
@@ -160,12 +162,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Scenario":
+        """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it."""
+        modalities = json_field(payload, "modalities", "scenario", list)
         return cls(
-            classes=int(payload["classes"]),
-            samples=int(payload["samples"]),
-            embedding_dim=int(payload["embedding_dim"]),
-            modalities=tuple(ModalitySpec.from_dict(m) for m in payload["modalities"]),
-            seed=int(payload["seed"]),
+            classes=json_field(payload, "classes", "scenario", int),
+            samples=json_field(payload, "samples", "scenario", int),
+            embedding_dim=json_field(payload, "embedding_dim", "scenario", int),
+            modalities=tuple(ModalitySpec.from_dict(m) for m in modalities),
+            seed=json_field(payload, "seed", "scenario", int),
         )
 
 

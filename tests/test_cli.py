@@ -162,8 +162,75 @@ def test_select_names_a_constant_score_modality(bundle_dir, tmp_path, capsys):
     uniform = f",{1 / n_classes!r}" * n_classes
     path.write_text("\n".join([header] + [row.split(",")[0] + uniform for row in rows]) + "\n")
     out = tmp_path / "sel.json"
-    assert run_cli("select", "--manifest", bundle_dir / "manifest.json", "--out", out) == 1
-    assert "'random1' has no comparable partners" in capsys.readouterr().err
+    assert run_cli("select", "--manifest", bundle_dir / "manifest.json", "--out", out) == 0
+    assert "excluded random1: no valid metrics for this modality" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    decision = {d["name"]: d for d in payload["modalities"]}["random1"]
+    assert (decision["basis"], decision["selected"], decision["correlation"]) == ("none", False, None)
+    assert "modality 'random1' has no comparable partners" in " ".join(payload["notes"])
+    assert payload["selected"] == ["good1", "good2", "good3"]
+
+
+TABLE = {
+    "modalities": ["a", "b"],
+    "strategies": ["sum"],
+    "entries": [
+        {"combination": c, "averaged": v, "strategies": {"sum": v}}
+        for c, v in ((["a"], 0.5), (["b"], 0.6), (["a", "b"], 0.7))
+    ],
+}
+
+
+def _entry(**change):
+    return {**TABLE, "entries": [TABLE["entries"][0] | change, *TABLE["entries"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "table, field",
+    [
+        ({**TABLE, "modalities": 5}, "modalities"),
+        ({**TABLE, "entries": 5}, "entries"),
+        (_entry(combination=5), "combination"),
+        (_entry(averaged=[1]), "averaged"),
+        (_entry(strategies=[1]), "strategies"),
+    ],
+    ids=["modalities", "entries", "combination", "averaged", "entry-strategies"],
+)
+def test_contribution_table_names_a_mistyped_field(tmp_path, capsys, table, field):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"table": table}))
+    assert run_cli("contribution", "--table", path, "--out", tmp_path / "c.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"{field!r}" in err
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        ({"classes": 4, "samples": 5, "embedding_dim": 2, "seed": 1, "modalities": 5}, "modalities"),
+        ([1], "modalities"),
+        ({"classes": 4, "samples": 5, "embedding_dim": 2, "seed": 1,
+          "modalities": [{"name": "g", "kind": "good", "accuracy": 10**400}]}, "accuracy"),
+    ],
+    ids=["numeric-modalities", "top-level-list", "huge-accuracy"],
+)
+def test_synth_scenario_names_a_mistyped_field(tmp_path, capsys, scenario, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli("synth", "--scenario", path, "--out-dir", tmp_path / "b") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"{field!r}" in err
+
+
+def test_limbs_skeleton_must_be_a_list_of_pairs(tmp_path, capsys):
+    kp = tmp_path / "kp.csv"
+    kp.write_text("x,y,confidence\n4.0,4.0,1.0\n9.0,4.0,0.5\n")
+    skeleton = tmp_path / "sk.json"
+    skeleton.write_text("5")
+    assert run_cli("encode", "limbs", "--keypoints", kp, "--width", 8, "--height", 8,
+                   "--skeleton", skeleton, "--out", tmp_path / "l.pgm") == 1
+    want = f"error: {skeleton}: skeleton must be a list of [joint, joint] index pairs\n"
+    assert capsys.readouterr().err == want
 
 
 def test_select_pairs_mode(bundle_dir, tmp_path):

@@ -290,7 +290,10 @@ class TestAccuracyTable:
 
 
 def per_cell_from_dict(payload):
-    """The table load as it was before entries filled whole rows: one dict entry per cell."""
+    """The table load as it was before entries filled whole rows: one dict entry per cell.
+
+    A value that float() rejects is an error naming its field.
+    """
 
     def field(record, name, where):
         try:
@@ -298,17 +301,24 @@ def per_cell_from_dict(payload):
         except (KeyError, TypeError):
             raise ValueError(f"{where} has no {name!r} field") from None
 
+    def number(value, where, name):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{where}: {name!r} must hold numbers") from None
+
     modalities = tuple(field(payload, "modalities", "accuracy table"))
     strategies = tuple(payload.get("strategies", ()))
     averaged = {}
     per_strategy = {}
     for i, row in enumerate(field(payload, "entries", "accuracy table")):
-        combo = tuple(field(row, "combination", f"accuracy table entry {i}"))
+        where = f"accuracy table entry {i}"
+        combo = tuple(field(row, "combination", where))
         if combo in averaged:
             raise ValueError(f"duplicate entry for combination {sorted(combo)}")
-        averaged[combo] = float(field(row, "averaged", f"accuracy table entry {i}"))
+        averaged[combo] = number(field(row, "averaged", where), where, "averaged")
         for s, v in row.get("strategies", {}).items():
-            per_strategy[(combo, s)] = float(v)
+            per_strategy[(combo, s)] = number(v, where, "strategies")
     if strategies:
         return AccuracyTable.from_per_strategy(modalities, strategies, per_strategy, payload.get("note", ""))
     return AccuracyTable.from_averaged(modalities, averaged, payload.get("note", ""))

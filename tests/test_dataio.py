@@ -116,6 +116,39 @@ def test_manifest_names_missing_modality_field(tmp_path, modality, field):
     assert str(err.value) == f"{path}: modality 1 has no {field!r} field"
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"modalities": 5}, "modalities"),
+        ({"modalities": [{"name": ["m"], "scores_path": "s.csv"}]}, "name"),
+        ({"class_names": 5}, "class_names"),
+        ({"class_names": ["a", 5]}, "class_names"),
+        ({"modalities": [{"name": "m", "scores_path": 5}]}, "scores_path"),
+        ({"modalities": [{"name": "m", "scores_path": "s.csv", "embeddings_path": 5}]}, "embeddings_path"),
+        ({"labels_path": 5}, "labels_path"),
+        ({"dataset": []}, "dataset"),
+    ],
+    ids=[
+        "modalities", "name", "class_names", "class_name", "scores_path", "embeddings_path", "labels_path",
+        "dataset",
+    ],
+)
+def test_manifest_rejects_a_mistyped_field(tmp_path, change, field):
+    path = tmp_path / "manifest.json"
+    good = {"class_names": ["a", "b"], "modalities": [{"name": "m", "scores_path": "s.csv"}]}
+    dump_json(good | change, path)
+    with pytest.raises(ValueError) as err:
+        load_manifest(path)
+    assert str(err.value).startswith(f"{path}: ") and f"{field!r} must be" in str(err.value)
+
+
+def test_deeply_nested_json_is_invalid(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_json(path)
+
+
 def test_manifest_must_be_a_json_object(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text("[1, 2]")
@@ -226,16 +259,15 @@ HEADERS = st.sampled_from(
     ]
 )
 NUMBERS = st.floats().map(repr) | st.sampled_from(["1", " 0.5\t", "-0.0", "5e-324", ".5", "+1", "1.", "1E5"])
-LABELS = st.integers(-3, 30).map(str) | st.sampled_from([" 3", "+1", "1_0", "1.0", "\u0663", ""])
 
 
 @st.composite
-def csv_texts(draw, labels=False):
-    """Mostly well-formed matrix (or labels) files, some with one odd row or field."""
-    n = 1 if labels else draw(st.integers(1, 3))
-    header = draw(HEADERS | st.just("sample_id,label" if labels else ",".join(["sample_id", *"abc"[:n]])))
+def csv_texts(draw):
+    """Mostly well-formed matrix files, some with one odd row or field."""
+    n = draw(st.integers(1, 3))
+    header = draw(HEADERS | st.just(",".join(["sample_id", *"abc"[:n]])))
     ids = st.sampled_from(["0", "x", "", "#1", " 7"])
-    values = st.lists(LABELS if labels else NUMBERS, min_size=n, max_size=n)
+    values = st.lists(NUMBERS, min_size=n, max_size=n)
     good = st.tuples(ids, values).map(lambda r: ",".join([r[0], *r[1]]))
     odd = st.lists(FIELDS, max_size=5).map(",".join)
     rows = draw(st.lists(good | st.just(""), max_size=6))
@@ -267,18 +299,6 @@ def test_fast_matrix_reader_matches_csv_path(tmp_path, text):
     assert same_matrix(outcome(read_matrix_csv, path), outcome(dataio._matrix_from_records, path, text))
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=csv_texts(labels=True))
-def test_fast_labels_reader_matches_csv_path(tmp_path, text):
-    path = tmp_path / "labels.csv"
-    path.write_bytes(text.encode("utf-8"))
-    fast, slow = outcome(read_labels_csv, path), outcome(dataio._labels_from_records, path, text)
-    if fast[0] == "error" or slow[0] == "error":
-        assert fast == slow
-    else:
-        assert fast[0] == slow[0] and fast[1].values.tobytes() == slow[1].values.tobytes()
-
-
 def test_plain_lines_only_where_csv_reader_splits_alike():
     assert dataio._plain_lines("sample_id,a\n0,0.5\n\n1,nan\n") == (["sample_id", "a"], ["0,0.5", "1,nan"])
     odd = ['sample_id,a\n0,"1"\n', "sample_id,a\r\n0,1\r\n", "sample_id,a\n0,1\x1c\n", "sample_id,a\n0,1,2\n"]
@@ -291,11 +311,14 @@ SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, float("nan"), float
 
 
 def csv_reference(header, rows) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+    # With a '\r\n' terminator csv.writer quotes every field holding ',', '"',
+    # '\r' or '\n'; each row then ends in '\n' alone.
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -356,6 +379,18 @@ def test_small_writers_match_csv_writer(tmp_path):
     rows = [["person", "", "0.0", "0.5", "4.0", "4.0"], ["object", 3, "5.0", "5.0", "7.0", "7.25"]]
     header = ["role", "class_index", "x_min", "y_min", "x_max", "y_max"]
     assert (tmp_path / "det.csv").read_bytes() == csv_reference(header, rows)
+
+
+def test_text_fields_holding_carriage_returns_read_back(tmp_path):
+    ids, columns = ["x\ry", "\r", "a\r\nb", 'q"\r'], ["c\r", "d"]
+    matrix = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0], [0.0, 1.0]])
+    write_matrix_csv(tmp_path / "m.csv", matrix, columns, ids)
+    back_ids, back_columns, back = read_matrix_csv(tmp_path / "m.csv")
+    assert (back_ids, back_columns, back.tolist()) == (ids, columns, matrix.tolist())
+    write_labels_csv(tmp_path / "labels.csv", LabelVector(np.array([0, 1, 1, 0])), ids)
+    back_ids, labels = read_labels_csv(tmp_path / "labels.csv")
+    assert (back_ids, labels.values.tolist()) == (ids, [0, 1, 1, 0])
+    assert (tmp_path / "m.csv").read_bytes().startswith(b'sample_id,"c\r",d\n"x\ry",0.5,0.5\n')
 
 
 # --- Reader errors name the file and line -----------------------------------

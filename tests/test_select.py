@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from modselect import (
     run_modselect,
     winsorized_mean,
 )
+from modselect.core import ScoreMatrix
 from modselect.metrics import PairMetricMatrix
 from modselect.synth import default_scenario, generate
 
@@ -158,6 +160,20 @@ class TestAggregatedSelect:
         assert decision.basis == "correlation-only"
         assert not decision.selected  # low rho, no mmd escape hatch
         assert any("judged on correlation alone" in n for n in report.notes)
+
+    def test_partnerless_modality_is_judged_on_what_it_has(self):
+        rho = {m: 0.5 for m in MODALITIES} | {"OF": 0.2, "YOLO": None, "H": None}
+        mmd = {m: 1.0 for m in MODALITIES} | {"RGB": 3.0, "YOLO": 0.5, "H": None}
+        report = aggregated_select(_metrics(rho, mmd))
+        decisions = {d.subject: d for d in report.decisions}
+        assert report.rho_threshold.value == winsorized_mean([0.5, 0.2, 0.5])
+        assert report.mmd_threshold.value == winsorized_mean([1.0, 1.0, 3.0, 0.5])
+        yolo, h = decisions["YOLO"], decisions["H"]
+        assert (yolo.basis, yolo.rho_pass, yolo.mmd_pass) == ("discrepancy-only", None, True) and yolo.selected
+        assert (h.basis, h.selected, h.reasons) == ("none", False, ("no valid metrics for this modality",))
+        assert sum("has no comparable partners" in n for n in report.notes) == 2
+        aggregated = report.to_dict()["intermediate"]["aggregated"]
+        assert aggregated["H"] == {"correlation": None, "discrepancy": None}
 
     def test_and_consensus_is_subset_of_or(self, rng):
         for _ in range(50):
@@ -310,6 +326,22 @@ class TestRunModselect:
         decision = {d.subject: d for d in report.decisions}["random1"]
         assert decision.basis == "correlation-only"
         assert any("random1" in n for n in report.notes)
+
+    def test_constant_scores_get_a_decision_in_both_modes(self, rng):
+        # Uniform scores have no per-class spread, so no pair with them has a correlation.
+        bundle, _ = generate(default_scenario(seed=5, samples=300))
+        good = run_modselect(bundle, ThresholdConfig(mode="pairs")).to_dict()
+        records = list(bundle.modalities)
+        flat = np.full(records[3].scores.values.shape, 1 / bundle.n_classes)
+        records[3] = replace(records[3], scores=ScoreMatrix(flat, bundle.class_names))
+        records[4] = replace(records[4], scores=ScoreMatrix(flat, bundle.class_names))
+        flat_bundle = replace(bundle, modalities=tuple(records))
+        report = run_modselect(flat_bundle)
+        decisions = {d.subject: d for d in report.decisions}
+        assert decisions["random1"].basis == "none" and not decisions["random1"].selected
+        assert decisions["shifted1"].basis == "discrepancy-only"
+        pairs = run_modselect(flat_bundle, ThresholdConfig(mode="pairs")).to_dict()
+        assert "aggregated" in good["intermediate"] and "aggregated" not in pairs["intermediate"]
 
     def test_needs_two_modalities(self, rng):
         bundle = make_bundle([simplex_rows(rng, 10, 3)])
