@@ -122,8 +122,9 @@ def _plain_lines(text: str) -> tuple[list[str], list[str]] | None:
     """Header fields and nonblank body lines of text the fast readers may split.
 
     None where the text may need csv.reader or float(): quotes, carriage
-    returns, NUL, \x1c-\x1f, non-ASCII rows, or a row whose field count
-    differs from the header's.
+    returns, NUL, \x1c-\x1f, non-ASCII rows, or a comma count other than
+    the header's times the number of lines. A caller must reject a row with
+    fewer fields than the header, as np.loadtxt with ``usecols`` does.
     """
     if any(c in text for c in _NOT_PLAIN):
         return None
@@ -131,8 +132,9 @@ def _plain_lines(text: str) -> tuple[list[str], list[str]] | None:
     lines = [line for line in lines if line]
     if not text.isascii() and not all(map(str.isascii, lines)):
         return None
-    n_commas = head.count(",")
-    if any(line.count(",") != n_commas for line in lines):
+    # One count over the text: a row with too many commas must then sit with
+    # one with too few, and np.loadtxt(usecols=...) rejects any short row.
+    if text.count(",") != head.count(",") * (len(lines) + 1):
         return None
     return head.split(","), lines
 

@@ -71,19 +71,31 @@ _FOLDS = {
 }
 
 
-def _median(matrices: list[np.ndarray]) -> np.ndarray:
-    # np.median over the members, cell by cell, with the same bits. An
+def _median(members: list[np.ndarray], rows: list[np.ndarray]) -> np.ndarray:
+    # np.median over the k members, cell by cell, with the same bits. An
     # odd-even transposition network of k rounds sorts them: min and max
     # are exact and run on whole matrices, where numpy's sort along the
     # member axis makes one call per (sample, class) cell. min and max
     # propagate NaN, and k rounds carry it from any member to every row, so
-    # a cell is NaN wherever a member is, as in np.median.
-    rows, k = list(matrices), len(matrices)
-    for r in range(k):
+    # a cell is NaN wherever a member is, as in np.median. The sort runs in
+    # ``rows``, k + 1 matrices of the members' shape that share no memory
+    # with them; the result is one of those rows.
+    k = len(members)
+    for i in range(0, k - 1, 2):  # round 0 reads the members, never writes them
+        np.minimum(members[i], members[i + 1], out=rows[i])
+        np.maximum(members[i], members[i + 1], out=rows[i + 1])
+    if k % 2:
+        np.copyto(rows[k - 1], members[k - 1])
+    rows, spare = list(rows[:k]), rows[k]
+    for r in range(1, k):
         for i in range(r % 2, k - 1, 2):
-            rows[i], rows[i + 1] = np.minimum(rows[i], rows[i + 1]), np.maximum(rows[i], rows[i + 1])
+            np.minimum(rows[i], rows[i + 1], out=spare)
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i], spare = spare, rows[i]
     half = k // 2
-    return rows[half].copy() if k % 2 else (rows[half - 1] + rows[half]) / 2
+    if k % 2:
+        return rows[half]
+    return np.divide(np.add(rows[half - 1], rows[half], out=spare), 2, out=spare)
 
 
 def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
@@ -99,13 +111,13 @@ def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
     if any(m.shape != shape for m in matrices):
         raise ValueError("incompatible score matrices")
     if strategy is FusionStrategy.MEDIAN:
-        return _median(matrices)
+        return _median(matrices, [np.empty(shape) for _ in range(len(matrices) + 1)])
     if strategy not in _FOLDS:
         raise ValueError(f"unknown strategy {strategy!r}")
     term, fold = _FOLDS[strategy]
     fused = np.array(term(matrices[0]))  # a copy, never the caller's matrix
     for m in matrices[1:]:
-        fused = fold(fused, term(m))
+        fold(fused, term(m), out=fused)
     return fused
 
 
@@ -135,9 +147,16 @@ def mpca(pred, truth, n_classes: int) -> float:
     if pred.min() < 0 or pred.max() >= n_classes:
         raise ValueError(f"predicted labels outside [0, {n_classes})")
     occurrences = np.bincount(truth, minlength=n_classes)
-    correct = np.bincount(truth[pred == truth], minlength=n_classes)
-    present = occurrences > 0
-    return float(np.mean(correct[present] / occurrences[present]))
+    return _mpca(pred, truth, occurrences, occurrences > 0)
+
+
+def _mpca(pred: np.ndarray, truth: np.ndarray, occurrences: np.ndarray, present: np.ndarray) -> float:
+    # mpca without the checks, given the per-class counts of ``truth`` and
+    # the mask of the classes that occur. The sum over the count is np.mean
+    # with the same bits.
+    correct = np.bincount(truth[pred == truth], minlength=occurrences.size)
+    rates = correct[present] / occurrences[present]
+    return float(np.add.reduce(rates) / rates.size)
 
 
 # A sweep fuses 2^M - 1 combinations; callers must opt in above this many modalities.
@@ -155,7 +174,9 @@ def sweep(
     replicated across strategies. Each strategy walks the combinations depth
     first: a combination folds its last member's term (built once per rule)
     into its prefix's fused scores, with the same bits as ``fuse``; median
-    fuses each combination anew. At most one partial result per depth is live.
+    sorts each combination's members anew. Both write into output matrices
+    allocated once per rule, and one accuracy kernel scores every
+    combination against class counts made once.
     More than ``MAX_DEFAULT_UNIVERSE`` modalities need ``allow_large=True``.
     """
     if bundle.labels is None:
@@ -174,11 +195,16 @@ def sweep(
 
     names = bundle.names
     matrices = [rec.scores.values for rec in bundle.modalities]
-    truth = bundle.labels.values
-    n_classes = bundle.n_classes
+    truth, n_classes = bundle.labels.values, bundle.n_classes
+    # The checked one-shot path scores the first modality, and so rejects
+    # bad labels once; the kernel scores the rest against counts made once.
+    first = mpca(predict(matrices[0]).values, truth, n_classes)
+    occurrences = np.bincount(truth, minlength=n_classes)
+    present = occurrences > 0
+    picks = np.empty(truth.size, dtype=np.intp)
 
     def accuracy(scores: np.ndarray) -> float:
-        return mpca(predict(scores).values, truth, n_classes)
+        return _mpca(np.argmax(scores, axis=1, out=picks), truth, occurrences, present)
 
     per_strategy = {}
 
@@ -188,16 +214,24 @@ def sweep(
             per_strategy[(tuple(names[i] for i in longer), strategy.value)] = accuracy(scores)
             extend(strategy, step, longer, scores)
 
-    for name, acc in zip(names, map(accuracy, matrices)):
+    for name, acc in zip(names, [first] + [accuracy(m) for m in matrices[1:]]):
         per_strategy.update({((name,), s.value): acc for s in strategy_list})
+    # Each rule writes into output matrices allocated once for its walk, after
+    # its terms are built, so that the terms' temporaries never sit on top of
+    # them: median sorts k members in k + 1 of them, and a fold keeps the
+    # fused scores of a combination of k members in rows[k - 2] while its
+    # extensions are walked.
+    shape = matrices[0].shape
     for strategy in strategy_list:
         if strategy is FusionStrategy.MEDIAN:
-            terms, step = matrices, lambda _, combo: fuse(strategy, [matrices[i] for i in combo])
+            terms, rows = matrices, [np.empty(shape) for _ in range(n + 1)]
+            step = lambda _, combo: _median([matrices[i] for i in combo], rows)  # noqa: E731
         else:  # a member's term is its one-matrix fusion; the folds never write into their inputs
             term, fold = _FOLDS[strategy]
             terms = matrices if term is np.asarray else [fuse(strategy, [m]) for m in matrices]
-            step = lambda fused, combo: fold(fused, terms[combo[-1]])  # noqa: E731
+            rows = [np.empty(shape) for _ in range(n - 1)]
+            step = lambda fused, combo: fold(fused, terms[combo[-1]], out=rows[len(combo) - 2])  # noqa: E731
         for i in range(n - 1):  # the last modality has no later one to extend it
             extend(strategy, step, (i,), terms[i])
-        del terms, step  # one rule's terms are live at a time
+        del terms, rows, step  # one rule's terms and rows are live at a time
     return AccuracyTable.from_per_strategy(names, [s.value for s in strategy_list], per_strategy)

@@ -290,6 +290,10 @@ def _alone_note(name: str) -> str:
     return f"modality {name!r} judged on correlation alone (no comparable embeddings)"
 
 
+def _no_partner_note(name: str) -> str:
+    return f"modality {name!r} has no comparable partners: its correlation with every other modality is undefined"
+
+
 def aggregated_select(
     metrics: AggregatedMetrics, config: ThresholdConfig = ThresholdConfig()
 ) -> SelectionReport:
@@ -309,11 +313,7 @@ def aggregated_select(
     rho = [metrics.rho[m] for m in names]
     mmd = [metrics.mmd[m] for m in names]
     notes = [_alone_note(m) for m, r, d in zip(names, rho, mmd) if d is None and r is not None]
-    notes += [
-        f"modality {m!r} has no comparable partners: its correlation with every other modality is undefined"
-        for m, r in zip(names, rho)
-        if r is None
-    ]
+    notes += [_no_partner_note(m) for m, r in zip(names, rho) if r is None]
     report = _select("aggregated", names, rho, mmd, notes, config)
     return replace(report, aggregates=metrics)
 
@@ -327,7 +327,9 @@ def pairs_select(
 
     Thresholds are computed over the valid off-diagonal pair values (each
     unordered pair counted once). Pairs lacking a valid discrepancy are
-    judged on correlation alone, and vice versa.
+    judged on correlation alone, and vice versa. When no pair has a
+    correlation, every pair is judged on discrepancy alone or dropped, and a
+    note names each modality as lacking a partner.
     """
     names = correlations.names
     if len(names) < 2:
@@ -342,15 +344,16 @@ def pairs_select(
 
     pair_list = correlations.pairs()
     rho = [known(correlations, m, n) for m, n in pair_list]
-    if all(v is None for v in rho):
-        raise ValueError("degenerate scores")
     mmd = [known(discrepancies, m, n) for m, n in pair_list]
-    notes = [
-        _alone_note(name)
-        for name in names
-        if discrepancies is None
-        or not any(discrepancies.is_valid(name, other) for other in names if other != name)
-    ]
+    if all(v is None for v in rho):  # no modality is judged on correlation
+        notes = [_no_partner_note(name) for name in names]
+    else:
+        notes = [
+            _alone_note(name)
+            for name in names
+            if discrepancies is None
+            or not any(discrepancies.is_valid(name, other) for other in names if other != name)
+        ]
     return _select("pairs", pair_list, rho, mmd, notes, config)
 
 

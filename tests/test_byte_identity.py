@@ -9,6 +9,7 @@ the paths recorded in the JSON reports do not depend on where it lives.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,31 @@ def digests(seed) -> dict[str, str]:
 def test_commands_write_pinned_bytes(tmp_path, monkeypatch, capsys, seed):
     monkeypatch.chdir(tmp_path)
     assert digests(seed) == EXPECTED[seed]
+
+
+# An 8-modality bundle, so the sweep reaches depth 8: six good modalities,
+# one random scorer and one drifted embedder, C=20.
+WIDE_SCENARIO = {
+    "classes": 20,
+    "samples": 300,
+    "embedding_dim": 4,
+    "seed": 11,
+    "modalities": [{"name": f"good{i}", "kind": "good"} for i in range(1, 7)]
+    + [
+        {"name": "random1", "kind": "random", "embeddings": False},
+        {"name": "shifted1", "kind": "shifted", "embedding_offset": 5.0},
+    ],
+}
+WIDE_EXPECTED = {
+    "table.csv": "7bce0cb738664a5f0768ef810cd7efd1a7aeea06f74f719b4ee3eb9d44eade1f",
+    "table.json": "730a016c2996d71ad5d477c024adc4d7bbaeb4a82e612e7432802c8f0dfedfbf",
+}
+
+
+def test_evaluate_writes_pinned_bytes_on_eight_modalities(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(WIDE_SCENARIO))
+    assert main(["synth", "--scenario", "scenario.json", "--out-dir", "bundle"]) == 0
+    assert main(["evaluate", "--manifest", "bundle/manifest.json", "--out", "table"]) == 0
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in WIDE_EXPECTED}
+    assert got == WIDE_EXPECTED

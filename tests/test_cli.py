@@ -241,6 +241,30 @@ def test_select_pairs_mode(bundle_dir, tmp_path):
     assert pairs == {("good1", "good2"), ("good1", "good3"), ("good2", "good3")}
 
 
+def test_select_pairs_mode_reports_when_no_pair_has_a_correlation(tmp_path, capsys):
+    # good1 plus a uniform-score random1: their one pair has no defined
+    # correlation, so each mode judges it on discrepancy alone or drops it.
+    bundle = tmp_path / "bundle"
+    assert run_cli("synth", "--seed", 3, "--samples", 40, "--classes", 3, "--out-dir", bundle) == 0
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["modalities"] = [m for m in manifest["modalities"] if m["name"] in ("good1", "random1")]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    path = bundle / "scores_random1.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [row.split(",")[0] + f",{1 / 3!r}" * 3 for row in rows]) + "\n")
+    out = tmp_path / "pairs.json"
+    assert run_cli("select", "--manifest", bundle / "manifest.json", "--mode", "pairs", "--out", out) == 0
+    payload = json.loads(out.read_text())
+    (decision,) = payload["pairs"]
+    assert (decision["basis"], decision["selected"], decision["correlation"]) == ("none", False, None)
+    assert payload["selected_pairs"] == []
+    assert payload["thresholds"]["correlation"]["source"] == "unavailable"
+    assert [note.split(":")[0] for note in payload["notes"]] == [
+        "modality 'good1' has no comparable partners",
+        "modality 'random1' has no comparable partners",
+    ]
+
+
 def test_select_deterministic(bundle_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("select", "--manifest", bundle_dir / "manifest.json", "--out", a)

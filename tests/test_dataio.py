@@ -205,6 +205,17 @@ def test_matrix_csv_malformed(tmp_path):
         read_matrix_csv(path)
 
 
+def test_matrix_csv_rows_whose_extra_and_missing_commas_cancel(tmp_path):
+    # The total comma count matches the header's; the first bad row is named.
+    path = tmp_path / "bad.csv"
+    path.write_text("sample_id,a,b\n0,1.0,2.0,3.0\n1,1.0\n2,1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: expected 3 fields, got 4$"):
+        read_matrix_csv(path)
+    path.write_text("sample_id,a,b\n0,1.0\n1,1.0,2.0,3.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: expected 3 fields, got 2$"):
+        read_matrix_csv(path)
+
+
 def test_keypoints_round_trip(tmp_path):
     kp = Keypoints([[1.5, 2.25, 0.5], [10.0, 3.0, 1.0]])
     path = tmp_path / "kp.csv"

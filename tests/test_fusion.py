@@ -267,9 +267,9 @@ def _tied_scores(rng, n_samples, n_classes):
     return np.round(simplex_rows(rng, n_samples, n_classes), 2)
 
 
-@pytest.mark.parametrize("n_modalities", range(1, 8))
+@pytest.mark.parametrize("n_modalities", range(1, 10))
 def test_sweep_equals_one_shot_fusion(n_modalities):
-    # Odd and even combination sizes up to 7, tied scores and shuffled rule
+    # Odd and even combination sizes up to 9, tied scores and shuffled rule
     # subsets: folding each member's term into the prefix must give the same
     # bits as fusing each combination anew.
     rng = np.random.default_rng(n_modalities)
@@ -289,6 +289,35 @@ def test_sweep_equals_one_shot_fusion(n_modalities):
                 fused = selected[0] if len(combo) == 1 else fuse(s, selected)
                 want[row, col] = mpca(predict(fused).values, labels, n_classes)
         assert np.array_equal(table.values, want)
+
+
+def test_sweep_with_an_absent_class_equals_one_shot_mpca():
+    # Class 3 never occurs in the labels, so every mean skips it.
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 3, 40)
+    scores = [_tied_scores(rng, 40, 4) for _ in range(4)]
+    bundle = make_bundle(scores, labels=labels)
+    table = sweep(bundle)
+    for row, combo in enumerate(table.combinations()):
+        selected = [bundle.get(name).scores.values for name in combo]
+        for col, s in enumerate(ALL_STRATEGIES):
+            fused = selected[0] if len(combo) == 1 else fuse(s, selected)
+            assert table.values[row, col] == mpca(predict(fused).values, labels, 4)
+
+
+def test_back_to_back_sweeps_are_bit_identical(rng):
+    bundle = _labelled_bundle(rng, n_modalities=6, n_samples=50)
+    first, second = sweep(bundle), sweep(bundle)
+    assert first.values.tobytes() == second.values.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_fuse_shares_no_memory_with_its_inputs(k):
+    rng = np.random.default_rng(k)
+    xs = [rng.random((6, 3)) for _ in range(k)]
+    for strategy in ALL_STRATEGIES:
+        fused = fuse(strategy, xs)
+        assert not any(np.shares_memory(fused, x) for x in xs), strategy
 
 
 @pytest.mark.parametrize("k", range(1, 12))

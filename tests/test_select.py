@@ -282,6 +282,18 @@ class TestPairsSelect:
             assert neither.reasons == ("no valid metrics for this pair",)
             assert report.selected == (("a", "b"),)
 
+    def test_no_pair_with_a_correlation_judged_on_discrepancy(self):
+        names = ("a", "b", "c")
+        rho = _pair_matrix(names, {"self": 1.0}, invalid={("a", "b"), ("a", "c"), ("b", "c")})
+        mmd = _pair_matrix(names, {("a", "b"): 1.0, ("a", "c"): 3.0}, invalid={("b", "c")})
+        report = pairs_select(rho, mmd, ThresholdConfig(delta_mmd=2.0))
+        assert report.rho_threshold.source == "unavailable"
+        assert [d.basis for d in report.decisions] == ["discrepancy-only", "discrepancy-only", "none"]
+        assert report.selected == (("a", "b"),)
+        assert [note.split(":")[0] for note in report.notes] == [
+            f"modality {name!r} has no comparable partners" for name in names
+        ]
+
     def test_needs_alternatives(self):
         rho = PairMetricMatrix(("solo",), np.ones((1, 1)), np.ones((1, 1), dtype=bool))
         with pytest.raises(ValueError, match="selection needs alternatives"):
