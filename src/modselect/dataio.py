@@ -10,6 +10,10 @@ CSV files are read with ``csv.reader``, which names the file and line of an
 error. Matrix files without quotes or carriage returns are first tried with
 ``str.split`` and ``np.loadtxt``, which give the same values faster; any
 file that path rejects goes through ``csv.reader``.
+
+The files of a bundle are written and read in forked processes, one share
+of the files per CPU the process may use; ``taskset -c 0`` keeps them in
+one process.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import io
 import itertools
 import json
 import math
+import os
+import pickle
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +46,86 @@ from .core import (
     validate_bundle,
 )
 from .encode import Box, DetectionSet, Keypoints
+
+
+def _run(fn, share) -> list:
+    """``(True, fn(*item))`` for each item of ``share``, up to the first ``(False, exception)``."""
+    results = []
+    for item in share:
+        try:
+            results.append((True, fn(*item)))
+        except Exception as err:
+            results.append((False, err))
+            break
+    return results
+
+
+def _fork(fn, share):
+    """A child that runs ``share`` and pickles its results to a pipe: ``(pid, read end)``, or None."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller runs the share itself
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                pickle.dump(_run(fn, share), out, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's stack
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(child) -> list | None:
+    """The results a child delivered, once it has exited; None if it delivered none."""
+    if child is None:
+        return None
+    pid, read_end = child
+    with open(read_end, "rb") as fh:
+        try:
+            results = pickle.load(fh)
+        except Exception:  # a stream cut short, or a value that does not unpickle
+            results = None
+        fh.read()  # the child exits only once its pipe is read to the end
+    return results if os.waitpid(pid, 0)[1] == 0 else None
+
+
+def _each(fn, items):
+    """``fn(*item)`` for each item, in item order, over the CPUs the process may use.
+
+    With n workers, forked child w computes ``items[w::n]`` and the caller
+    ``items[0::n]``; each stops at its first failure. Every child is reaped
+    before the first result is yielded, and a share no child delivered is
+    run again here. A failed item raises its exception when it is reached,
+    so the first failure in item order wins. On one CPU the items are
+    computed lazily, one at a time, and nothing after a failure runs.
+    """
+    items = list(items)
+    n = min(len(items), len(os.sched_getaffinity(0)))
+    if n < 2:
+        for item in items:
+            yield fn(*item)
+        return
+    children = []
+    try:
+        for w in range(1, n):
+            children.append(_fork(fn, items[w::n]))
+        shares = [_run(fn, items[0::n])]
+    finally:
+        delivered = [_reap(child) for child in children]
+    for w, results in enumerate(delivered, start=1):
+        shares.append(_run(fn, items[w::n]) if results is None else results)
+    for i in range(len(items)):
+        ok, value = shares[i % n][i // n]
+        if not ok:
+            raise value
+        yield value
 
 
 def sha256_file(path) -> str:
@@ -333,12 +419,23 @@ def load_bundle(manifest: Manifest | str | Path) -> tuple[Bundle, dict[str, str]
         elif ids != reference_ids:
             raise ValueError(f"sample_id mismatch between {reference_file} and {filename}")
 
+    def read(reader, relative: str):
+        path = manifest.resolve(relative)
+        return path, sha256_file(path), reader(path)
+
+    files = []
+    for entry in manifest.modalities:
+        files.append((read_matrix_csv, entry.scores_path))
+        if entry.embeddings_path:
+            files.append((read_matrix_csv, entry.embeddings_path))
+    if manifest.labels_path:
+        files.append((read_labels_csv, manifest.labels_path))
+    loaded = _each(read, files)
+
     class_names = manifest.class_names
     records = []
     for entry in manifest.modalities:
-        scores_file = manifest.resolve(entry.scores_path)
-        digests[entry.scores_path] = sha256_file(scores_file)
-        ids, columns, values = read_matrix_csv(scores_file)
+        scores_file, digests[entry.scores_path], (ids, columns, values) = next(loaded)
         check_ids(ids, entry.scores_path)
         if class_names and tuple(columns) != class_names:
             raise ValueError(
@@ -346,9 +443,7 @@ def load_bundle(manifest: Manifest | str | Path) -> tuple[Bundle, dict[str, str]
             )
         embeddings = None
         if entry.embeddings_path:
-            emb_file = manifest.resolve(entry.embeddings_path)
-            digests[entry.embeddings_path] = sha256_file(emb_file)
-            emb_ids, _, emb_values = read_matrix_csv(emb_file)
+            _, digests[entry.embeddings_path], (emb_ids, _, emb_values) = next(loaded)
             check_ids(emb_ids, entry.embeddings_path)
             embeddings = EmbeddingMatrix(emb_values)
         records.append(
@@ -357,9 +452,7 @@ def load_bundle(manifest: Manifest | str | Path) -> tuple[Bundle, dict[str, str]
 
     labels = None
     if manifest.labels_path:
-        labels_file = manifest.resolve(manifest.labels_path)
-        digests[manifest.labels_path] = sha256_file(labels_file)
-        label_ids, labels = read_labels_csv(labels_file)
+        _, digests[manifest.labels_path], (label_ids, labels) = next(loaded)
         check_ids(label_ids, manifest.labels_path)
 
     bundle = Bundle(tuple(records), labels, class_names or records[0].scores.class_names)
@@ -371,15 +464,16 @@ def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
     """Write a bundle as CSV files plus a manifest; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    files = []  # (writer, *its arguments)
     entries = []
     for rec in bundle.modalities:
         scores_name = f"scores_{rec.name}.csv"
-        write_matrix_csv(out_dir / scores_name, rec.scores.values, bundle.class_names)
+        files.append((write_matrix_csv, out_dir / scores_name, rec.scores.values, bundle.class_names))
         entry = {"name": rec.name, "scores_path": scores_name}
         if rec.embeddings is not None:
             emb_name = f"embeddings_{rec.name}.csv"
             columns = [f"e{i}" for i in range(rec.embeddings.dim)]
-            write_matrix_csv(out_dir / emb_name, rec.embeddings.values, columns)
+            files.append((write_matrix_csv, out_dir / emb_name, rec.embeddings.values, columns))
             entry["embeddings_path"] = emb_name
         entries.append(entry)
     payload = {
@@ -388,8 +482,9 @@ def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
         "modalities": entries,
     }
     if bundle.labels is not None:
-        write_labels_csv(out_dir / "labels.csv", bundle.labels)
+        files.append((write_labels_csv, out_dir / "labels.csv", bundle.labels))
         payload["labels_path"] = "labels.csv"
+    list(_each(lambda write, *args: write(*args), files))  # every file, before the manifest
     manifest_path = out_dir / "manifest.json"
     dump_json(payload, manifest_path)
     return manifest_path

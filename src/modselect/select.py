@@ -327,9 +327,9 @@ def pairs_select(
 
     Thresholds are computed over the valid off-diagonal pair values (each
     unordered pair counted once). Pairs lacking a valid discrepancy are
-    judged on correlation alone, and vice versa. When no pair has a
-    correlation, every pair is judged on discrepancy alone or dropped, and a
-    note names each modality as lacking a partner.
+    judged on correlation alone, and vice versa. As in aggregated mode, a
+    note names each modality with a correlated partner but no discrepancy
+    partner, and each modality without a correlated partner.
     """
     names = correlations.names
     if len(names) < 2:
@@ -345,15 +345,13 @@ def pairs_select(
     pair_list = correlations.pairs()
     rho = [known(correlations, m, n) for m, n in pair_list]
     mmd = [known(discrepancies, m, n) for m, n in pair_list]
-    if all(v is None for v in rho):  # no modality is judged on correlation
-        notes = [_no_partner_note(name) for name in names]
-    else:
-        notes = [
-            _alone_note(name)
-            for name in names
-            if discrepancies is None
-            or not any(discrepancies.is_valid(name, other) for other in names if other != name)
-        ]
+
+    def partnered(matrix: PairMetricMatrix | None, m: str) -> bool:
+        return any(known(matrix, m, n) is not None for n in names if n != m)
+
+    # The notes aggregated mode writes, from each modality's valid pairs.
+    notes = [_alone_note(m) for m in names if partnered(correlations, m) and not partnered(discrepancies, m)]
+    notes += [_no_partner_note(m) for m in names if not partnered(correlations, m)]
     return _select("pairs", pair_list, rho, mmd, notes, config)
 
 

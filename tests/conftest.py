@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,13 @@ def make_bundle(score_arrays, labels=None, embeddings=None, names=None, class_na
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``os.sched_getaffinity`` report n CPUs for the rest of the test."""
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return force

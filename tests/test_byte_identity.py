@@ -6,6 +6,9 @@ change to how floats, names or rows are written shows up here as a changed
 digest. Update a digest only when the file format changes on purpose.
 Commands run from inside the temporary directory with relative paths, so
 the paths recorded in the JSON reports do not depend on where it lives.
+Each test runs twice: on the CPUs the process may use, where bundle files
+are written and read in forked processes, and forced onto one CPU, where
+they are not. Both runs check the same digests.
 """
 
 import hashlib
@@ -75,8 +78,14 @@ def digests(seed) -> dict[str, str]:
     }
 
 
+@pytest.fixture(params=["as-is", "one-cpu"])
+def cpu_set(request, cpus):
+    if request.param == "one-cpu":
+        cpus(1)
+
+
 @pytest.mark.parametrize("seed", sorted(EXPECTED))
-def test_commands_write_pinned_bytes(tmp_path, monkeypatch, capsys, seed):
+def test_commands_write_pinned_bytes(tmp_path, monkeypatch, capsys, cpu_set, seed):
     monkeypatch.chdir(tmp_path)
     assert digests(seed) == EXPECTED[seed]
 
@@ -100,7 +109,7 @@ WIDE_EXPECTED = {
 }
 
 
-def test_evaluate_writes_pinned_bytes_on_eight_modalities(tmp_path, monkeypatch, capsys):
+def test_evaluate_writes_pinned_bytes_on_eight_modalities(tmp_path, monkeypatch, capsys, cpu_set):
     monkeypatch.chdir(tmp_path)
     Path("scenario.json").write_text(json.dumps(WIDE_SCENARIO))
     assert main(["synth", "--scenario", "scenario.json", "--out-dir", "bundle"]) == 0

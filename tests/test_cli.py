@@ -265,6 +265,24 @@ def test_select_pairs_mode_reports_when_no_pair_has_a_correlation(tmp_path, caps
     ]
 
 
+def test_select_pairs_mode_notes_a_modality_without_correlated_partners(tmp_path, capsys):
+    # random1 has no embeddings, and uniform scores leave each of its pairs
+    # without a correlation, while the other pairs keep theirs: both modes
+    # must note that it has no partner, not that it is judged on correlation.
+    bundle = tmp_path / "bundle"
+    assert run_cli("synth", "--seed", 7, "--samples", 250, "--classes", 5, "--dim", 6, "--out-dir", bundle) == 0
+    path = bundle / "scores_random1.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [row.split(",")[0] + f",{1 / 5!r}" * 5 for row in rows]) + "\n")
+    notes = {}
+    for mode in ("aggregated", "pairs"):
+        out = tmp_path / f"{mode}.json"
+        assert run_cli("select", "--manifest", bundle / "manifest.json", "--mode", mode, "--out", out) == 0
+        notes[mode] = json.loads(out.read_text())["notes"]
+    assert [note.split(":")[0] for note in notes["pairs"]] == ["modality 'random1' has no comparable partners"]
+    assert notes["pairs"] == notes["aggregated"]
+
+
 def test_select_deterministic(bundle_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("select", "--manifest", bundle_dir / "manifest.json", "--out", a)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,3 +479,132 @@ def test_csv_module_errors_name_the_file(tmp_path):
     with pytest.raises(ValueError) as err:
         read_matrix_csv(path)
     assert str(err.value).startswith(f"{path}:2: ")
+
+
+def square(i):
+    return i, [float(i)] * i
+
+
+def assert_no_children(pid):
+    """The caller is still ``pid`` and has no child left, not even a zombie."""
+    assert os.getpid() == pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
+def test_each_returns_the_serial_results_in_item_order(cpus, n_cpus):
+    cpus(n_cpus)
+    pid = os.getpid()
+    for n_items in range(10):
+        items = [(i,) for i in range(n_items)]
+        assert list(dataio._each(square, items)) == [square(*item) for item in items]
+        assert_no_children(pid)
+        workers = set(dataio._each(lambda i: os.getpid(), items))
+        assert len(workers) == min(n_items, n_cpus)
+        assert_no_children(pid)
+        results = dataio._each(square, items)
+        if n_items:
+            assert next(results) == square(0)
+        results.close()
+        assert_no_children(pid)
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3, 4])
+def test_each_raises_a_failed_item_s_exception_when_it_is_reached(cpus, n_cpus):
+    cpus(n_cpus)
+    pid = os.getpid()
+
+    def fn(i):
+        if i == bad:
+            raise LookupError(f"item {i} failed")
+        return i
+
+    for bad in range(6):  # every share, the caller's and each child's, fails once
+        got = []
+        with pytest.raises(LookupError, match=f"^item {bad} failed$"):
+            for value in dataio._each(fn, [(i,) for i in range(6)]):
+                got.append(value)
+        assert got == list(range(bad))
+        assert_no_children(pid)
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3, 4])
+def test_each_reruns_the_share_of_a_child_that_sends_nothing(cpus, n_cpus):
+    cpus(n_cpus)
+    pid = os.getpid()
+
+    def dies_in_a_child(i):
+        if i == 1 and os.getpid() != pid:
+            os._exit(1)
+        return square(i)
+
+    items = [(i,) for i in range(7)]
+    assert list(dataio._each(dies_in_a_child, items)) == [square(*item) for item in items]
+    assert_no_children(pid)
+    # A result that does not pickle is sent by no child either.
+    assert [f() for f in dataio._each(lambda i: (lambda: i), items)] == list(range(7))
+    assert_no_children(pid)
+
+
+def scores_text(header, ids):
+    return header + "\n" + "".join(f"{i},1.0,0.0,0.0\n" for i in ids)
+
+
+MALFORMED = "sample_id,e0\n0,abc\n"
+BAD_LABELS = "sample_id,label\n0,0\n1,two\n"
+
+# Each bundle has one or two broken files (new text, or None to delete);
+# load_bundle must report the failure that comes first in manifest order,
+# named with the file where it happens.
+BROKEN = {
+    "missing file": ({"scores_m1.csv": None, "embeddings_m2.csv": MALFORMED}, "scores_m1.csv"),
+    "malformed embeddings after class columns": (
+        {"scores_m1.csv": scores_text("sample_id,x0,x1,x2", range(6)), "embeddings_m1.csv": MALFORMED},
+        "scores_m1.csv",
+    ),
+    "malformed embeddings before a missing file": (
+        {"embeddings_m0.csv": MALFORMED, "scores_m2.csv": None},
+        "embeddings_m0.csv",
+    ),
+    "sample ids": (
+        {"scores_m2.csv": scores_text("sample_id,c0,c1,c2", "abcdef"), "labels.csv": BAD_LABELS},
+        "scores_m2.csv",
+    ),
+    "bad labels": ({"labels.csv": BAD_LABELS}, "labels.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_load_bundle_reports_the_first_failure_in_manifest_order(tmp_path, monkeypatch, cpus, case):
+    rng = np.random.default_rng(5)
+    bundle = make_bundle(
+        [simplex_rows(rng, 6, 3) for _ in range(3)],
+        labels=[0, 1, 2, 0, 1, 2],
+        embeddings=[rng.normal(size=(6, 2)) for _ in range(3)],
+    )
+    manifest = write_bundle(bundle, tmp_path)
+    broken, failing = BROKEN[case]
+    for name, text in broken.items():
+        if text is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_text(text)
+
+    def error(n_cpus):
+        cpus(n_cpus)
+        with pytest.raises((ValueError, OSError)) as err:
+            load_bundle(manifest)
+        return type(err.value), str(err.value)
+
+    forked = error(2)
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", recording_open, raising=False)
+    assert error(1) == forked
+    assert failing in forked[1]
+    assert opened[-1] == failing  # on one CPU no file after the failing one is opened
