@@ -461,7 +461,18 @@ def load_bundle(manifest: Manifest | str | Path) -> tuple[Bundle, dict[str, str]
 
 
 def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
-    """Write a bundle as CSV files plus a manifest; returns the manifest path."""
+    """Write a bundle as CSV files plus a manifest; returns the manifest path.
+
+    A modality's name becomes part of its file names, so a name holding a
+    path separator or NUL, or a name given twice, is rejected before any
+    file is written.
+    """
+    names = [rec.name for rec in bundle.modalities]
+    for name in names:
+        if any(c in name for c in "/\\\0"):
+            raise ValueError(f"modality name {name!r} holds '/', '\\' or NUL and cannot name a file")
+        if names.count(name) > 1:
+            raise ValueError(f"modality name {name!r} is given twice")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []  # (writer, *its arguments)

@@ -15,9 +15,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import make_bundle
 
 from modselect.cli import main
+from modselect.dataio import write_bundle
 
 EXPECTED = {
     42: {
@@ -116,3 +119,38 @@ def test_evaluate_writes_pinned_bytes_on_eight_modalities(tmp_path, monkeypatch,
     assert main(["evaluate", "--manifest", "bundle/manifest.json", "--out", "table"]) == 0
     got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in WIDE_EXPECTED}
     assert got == WIDE_EXPECTED
+
+
+def tie_bundle():
+    # Five modalities over C=4 whose rows tie: uniform rows (every score
+    # 0.25), one-hot rows, two-way halves and a few generic rows, so that
+    # sums, products, maxima, medians and Borda points all meet ties.
+    rng = np.random.default_rng(5)
+    n_samples, n_classes = 48, 4
+    labels = rng.integers(0, n_classes, n_samples)
+    matrices = []
+    for m in range(5):
+        rows = np.full((n_samples, n_classes), 0.25)
+        kind = (np.arange(n_samples) + m) % 4
+        hot = rng.integers(0, n_classes, n_samples)
+        rows[kind == 1] = np.eye(n_classes)[hot[kind == 1]]
+        rows[kind == 2] = 0.0
+        rows[kind == 2, hot[kind == 2]] = 0.5
+        rows[kind == 2, (hot[kind == 2] + 1 + m % 3) % n_classes] = 0.5
+        rows[kind == 3] = rng.dirichlet(np.ones(n_classes), size=int((kind == 3).sum()))
+        matrices.append(rows)
+    return make_bundle(matrices, labels=labels, names=[f"tie{m}" for m in range(5)])
+
+
+TIE_EXPECTED = {
+    "table.csv": "69c891d5cbf2f566edd6d3eefba4cf4ea773811e35a116de3579dca897a49959",
+    "table.json": "9f03af1ac1c6f50e580504d88d2fa91971f1c6012ca1963e9e05ccf58c4c6b28",
+}
+
+
+def test_evaluate_writes_pinned_bytes_when_scores_tie(tmp_path, monkeypatch, capsys, cpu_set):
+    monkeypatch.chdir(tmp_path)
+    write_bundle(tie_bundle(), "bundle")
+    assert main(["evaluate", "--manifest", "bundle/manifest.json", "--out", "table"]) == 0
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in TIE_EXPECTED}
+    assert got == TIE_EXPECTED

@@ -60,6 +60,23 @@ def test_synth_infeasible_target_errors(tmp_path, capsys):
     assert "infeasible accuracy target" in capsys.readouterr().err
 
 
+def test_synth_rejects_a_modality_name_that_leaves_the_out_dir(tmp_path, capsys):
+    scenario = {
+        "classes": 3,
+        "samples": 10,
+        "embedding_dim": 2,
+        "seed": 1,
+        "modalities": [{"name": "a/../../outside", "kind": "good"}, {"name": "b", "kind": "good"}],
+    }
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "work" / "out"
+    assert run_cli("synth", "--scenario", spath, "--out-dir", out_dir) == 1
+    assert "'a/../../outside'" in capsys.readouterr().err
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and p != spath]
+    assert not [p for p in written if out_dir not in p.parents]
+
+
 def test_evaluate_writes_table_and_is_deterministic(bundle_dir, tmp_path):
     out1 = tmp_path / "r1" / "table"
     out2 = tmp_path / "r2" / "table"

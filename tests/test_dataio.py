@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,21 @@ def test_simplex_violation_rejected_on_load(tmp_path, rng):
     manifest = write_bundle(bad, tmp_path)
     with pytest.raises(ValueError, match="row not on simplex"):
         load_bundle(manifest)
+
+
+@pytest.mark.parametrize("name", ["a/b", "../up", "a\\b", "a\0b"])
+def test_write_bundle_rejects_a_name_that_is_no_file_name(tmp_path, rng, name):
+    bundle = make_bundle([simplex_rows(rng, 4, 3)] * 2, labels=[0, 1, 2, 0], names=["ok", name])
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_bundle(bundle, tmp_path / "out")
+    assert not any(tmp_path.rglob("*"))
+
+
+def test_write_bundle_rejects_a_repeated_name(tmp_path, rng):
+    bundle = make_bundle([simplex_rows(rng, 4, 3)] * 3, labels=[0, 1, 2, 0], names=["x", "y", "x"])
+    with pytest.raises(ValueError, match="modality name 'x' is given twice"):
+        write_bundle(bundle, tmp_path / "out")
+    assert not any(tmp_path.rglob("*"))
 
 
 def test_manifest_errors(tmp_path):

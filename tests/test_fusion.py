@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modselect import ALL_STRATEGIES, FusionStrategy, fuse, mpca, predict, sweep
-from modselect.fusion import parse_strategies
+from modselect.fusion import _median_network, parse_strategies
 
 from conftest import make_bundle, simplex_rows
 
@@ -305,6 +305,35 @@ def test_sweep_with_an_absent_class_equals_one_shot_mpca():
             assert table.values[row, col] == mpca(predict(fused).values, labels, 4)
 
 
+def test_sweep_over_nan_and_inf_scores_equals_one_shot_fusion():
+    # An unvalidated bundle, built directly. A NaN at a sample's true class
+    # comes first, so argmax picks it and scores the sample right; other
+    # rows hold a NaN before the true class, +inf ties and rows of -inf.
+    rng = np.random.default_rng(8)
+    n_samples, n_classes = 60, 4
+    labels = rng.integers(0, n_classes, n_samples)
+    scores = []
+    for m in range(4):
+        x = simplex_rows(rng, n_samples, n_classes)
+        rows = np.arange(m, n_samples - 5, 6)
+        x[rows, labels[rows]] = np.nan
+        x[rows + 1, 0] = x[rows + 1, 2] = np.nan
+        x[rows + 2, labels[rows + 2]] = x[rows + 2, 3] = np.inf
+        x[rows + 3, 1] = -np.inf
+        x[rows + 4] = -np.inf
+        scores.append(x)
+    bundle = make_bundle(scores, labels=labels)
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make NaN
+        table = sweep(bundle)
+        want = np.empty(table.values.shape)
+        for row, combo in enumerate(table.combinations()):
+            selected = [bundle.get(name).scores.values for name in combo]
+            for col, s in enumerate(ALL_STRATEGIES):
+                fused = selected[0] if len(combo) == 1 else fuse(s, selected)
+                want[row, col] = mpca(predict(fused).values, labels, n_classes)
+    assert np.array_equal(table.values, want)
+
+
 def test_back_to_back_sweeps_are_bit_identical(rng):
     bundle = _labelled_bundle(rng, n_modalities=6, n_samples=50)
     first, second = sweep(bundle), sweep(bundle)
@@ -338,7 +367,23 @@ def test_fuse_matches_numpy_reductions_bit_for_bit(k):
     assert all(np.array_equal(x, y) for x, y in zip(xs, stack))  # inputs untouched
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 17))
+def test_median_network_puts_the_middle_on_its_wires(k):
+    # The 0-1 principle: a comparator network that puts the middle of every
+    # 0/1 input on its middle wire(s) does so for every input. All 2^k
+    # inputs run at once, one column each.
+    bits = (np.arange(1 << k)[None, :] >> np.arange(k)[:, None]) & 1
+    ops, middle = _median_network(k)
+    assert all(out >= k for *_, out in ops)  # members are never written
+    assert max((out for *_, out in ops), default=k) <= 2 * k  # k + 1 rows suffice
+    wires = [*bits.astype(np.uint8), *np.empty((k + 1, 1 << k), dtype=np.uint8)]
+    for minmax, a, b, out in ops:
+        minmax(wires[a], wires[b], out=wires[out])
+    got = np.array([wires[m] for m in middle])
+    assert np.array_equal(got, np.sort(bits, axis=0)[sorted({(k - 1) // 2, k // 2})])
+
+
+@pytest.mark.parametrize("k", range(1, 13))
 def test_median_of_nan_and_inf_matches_numpy(k):
     rng = np.random.default_rng(k)
     xs = [rng.random((k + 4, 3)) for _ in range(k)]
