@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -407,11 +408,32 @@ def json_field(record: Mapping, name: str, where: str, kind: type = object, defa
     return value
 
 
-def _numbers(values: Iterable, where: str, name: str) -> list[float]:
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: {name!r} must hold numbers") from None
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(value, where: str, name: str) -> float:
+    """``value`` as a float, if it is a finite JSON number.
+
+    An int or a float within the float range passes. A bool, a string, NaN,
+    an infinity or a larger integer raises ``ValueError`` naming ``where``
+    and ``name``.
+    """
+    if (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    raise ValueError(f"{where}: {name} must be a finite number, not {value!r}")
+
+
+def _numbers(cells: Mapping, where: str) -> list[float]:
+    """An entry's ``strategies`` cells as floats; each must pass :func:`_number`."""
+    # _number's test inlined: a call per cell would cost a 4095-entry table 4 ms
+    numbers = [
+        float(v) for v in cells.values()
+        if (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+    ]
+    if len(numbers) < len(cells):
+        for key, value in cells.items():
+            _number(value, where, f"'strategies' value {key!r}")
+    return numbers
 
 
 def json_names(record: Mapping, name: str, where: str, default=_REQUIRED) -> tuple[str, ...]:
@@ -543,9 +565,9 @@ class AccuracyTable:
                 raise ValueError(f"{where}: 'combination' must be a list of names") from None
             if duplicate:
                 raise ValueError(f"duplicate entry for combination {sorted(combo, key=str)}")
-            averaged[combo] = _numbers([json_field(row, "averaged", where)], where, "averaged")[0]
+            averaged[combo] = _number(json_field(row, "averaged", where), where, "'averaged'")
             cells = json_field(row, "strategies", where, dict, {})
-            given.append((tuple(cells), _numbers(cells.values(), where, "strategies")))
+            given.append((tuple(cells), _numbers(cells, where)))
         if not strategies:
             return cls.from_averaged(modalities, averaged, note)
         orders = {names for names, _ in given}

@@ -460,6 +460,11 @@ def load_bundle(manifest: Manifest | str | Path) -> tuple[Bundle, dict[str, str]
     return bundle, digests
 
 
+def names_a_file(name: str) -> bool:
+    """Whether a modality name can be part of a file name: it holds no '/', '\\' or NUL."""
+    return not any(c in name for c in "/\\\0")
+
+
 def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
     """Write a bundle as CSV files plus a manifest; returns the manifest path.
 
@@ -469,7 +474,7 @@ def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
     """
     names = [rec.name for rec in bundle.modalities]
     for name in names:
-        if any(c in name for c in "/\\\0"):
+        if not names_a_file(name):
             raise ValueError(f"modality name {name!r} holds '/', '\\' or NUL and cannot name a file")
         if names.count(name) > 1:
             raise ValueError(f"modality name {name!r} is given twice")

@@ -128,8 +128,9 @@ def _median_network(k: int) -> tuple[tuple, tuple[int, ...]]:
 
 def _median(members: list[np.ndarray], rows: list[np.ndarray]) -> np.ndarray:
     # np.median over the k members, cell by cell, with the same bits, but
-    # for the sign of a zero: np.median never returns -0.0, this may (argmax
-    # and equality do not tell the two apart). The pruned network of
+    # for the sign of a zero: np.median never returns -0.0, this may. fuse
+    # adds +0.0 to match; the sweep does not, as argmax and equality do not
+    # tell the two zeros apart. The pruned network of
     # _median_network runs min and max on whole matrices, where numpy's sort
     # along the member axis makes one call per cell. Min and max are exact
     # and propagate NaN, and every output of a sorting network depends on
@@ -162,13 +163,19 @@ def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
     if any(m.shape != shape for m in matrices):
         raise ValueError("incompatible score matrices")
     if strategy is FusionStrategy.MEDIAN:
-        return _median(matrices, [np.empty(shape) for _ in range(len(matrices) + 1)])
-    if strategy not in _FOLDS:
+        fused = _median(matrices, [np.empty(shape) for _ in range(len(matrices) + 1)])
+    elif strategy in _FOLDS:
+        term, fold = _FOLDS[strategy]
+        fused = np.array(term(matrices[0]))  # a copy, never the caller's matrix
+        for m in matrices[1:]:
+            fold(fused, term(m), out=fused)
+    else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    term, fold = _FOLDS[strategy]
-    fused = np.array(term(matrices[0]))  # a copy, never the caller's matrix
-    for m in matrices[1:]:
-        fold(fused, term(m), out=fused)
+    if strategy in (FusionStrategy.SUM, FusionStrategy.MEDIAN):
+        # np.sum and np.median add from +0.0, so they turn a -0.0 the fold
+        # or the network leaves into +0.0; the other rules' terms and folds
+        # already give numpy's zeros.
+        np.add(fused, 0.0, out=fused)
     return fused
 
 
@@ -226,8 +233,9 @@ def sweep(
     copies of each rule's member terms (the scores, their squares or their
     Borda points, built once per rule). Each strategy walks the combinations
     depth first: a combination folds its last member's term into its
-    prefix's fused scores, with the same bits as ``fuse``; median runs the
-    pruned sorting network of ``_median`` on each combination's members.
+    prefix's fused scores, with the same bits as ``fuse`` but for the sign
+    of a zero; median runs the pruned sorting network of ``_median`` on
+    each combination's members.
     Both write into output matrices allocated once per rule. Each
     combination is scored with whole-row operations and no argmax: a sample
     is right when its true class reaches the column maximum and no class

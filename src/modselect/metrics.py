@@ -25,13 +25,19 @@ def correlation_vector(z_m, z_n) -> np.ndarray:
         raise ValueError("incompatible score matrices")
     if a.shape[0] < 2:
         raise ValueError("insufficient samples")
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
-    sd_a = a.std(axis=0)
-    sd_b = b.std(axis=0)
-    cov = ((a - mu_a) * (b - mu_b)).mean(axis=0)
+    return _correlation(_moments(a), _moments(b))
+
+
+def _moments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class centred scores and population standard deviations."""
+    return scores - scores.mean(axis=0), scores.std(axis=0)
+
+
+def _correlation(moments_a: tuple, moments_b: tuple) -> np.ndarray:
+    (centred_a, sd_a), (centred_b, sd_b) = moments_a, moments_b
+    cov = (centred_a * centred_b).mean(axis=0)
     defined = (sd_a >= DEGENERATE_STD) & (sd_b >= DEGENERATE_STD)
-    out = np.full(a.shape[1], np.nan)
+    out = np.full(cov.size, np.nan)
     out[defined] = np.clip(cov[defined] / (sd_a[defined] * sd_b[defined]), -1.0, 1.0)
     return out
 
@@ -123,13 +129,18 @@ def correlation_matrix(bundle: Bundle) -> PairMetricMatrix:
     Pairs whose scores are degenerate for every class are marked invalid
     instead of raising.
     """
-    records = bundle.modalities
-    n = len(records)
+    scores = [as_matrix(rec.scores) for rec in bundle.modalities]
+    if scores and scores[0].shape[0] < 2:
+        raise ValueError("insufficient samples")
+    if any(z.shape != scores[0].shape for z in scores):
+        raise ValueError("incompatible score matrices")
+    moments = [_moments(z) for z in scores]  # once per modality, not per pair
+    n = len(scores)
     values = np.zeros((n, n))
     valid = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(i, n):
-            rho = _defined_mean(correlation_vector(records[i].scores, records[j].scores))
+            rho = _defined_mean(_correlation(moments[i], moments[j]))
             if rho is None:
                 continue
             values[i, j] = values[j, i] = rho
@@ -139,19 +150,18 @@ def correlation_matrix(bundle: Bundle) -> PairMetricMatrix:
 
 def mmd_matrix(bundle: Bundle) -> PairMetricMatrix:
     """Mean-embedding discrepancy matrix; entries without comparable embeddings are invalid."""
-    records = bundle.modalities
-    n = len(records)
+    # Each modality's mean once, not once per pair.
+    means = [None if rec.embeddings is None else rec.embeddings.values.mean(axis=0) for rec in bundle.modalities]
+    n = len(means)
     values = np.zeros((n, n))
     valid = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        if records[i].embeddings is None:
+        if means[i] is None:
             continue
         for j in range(i, n):
-            if records[j].embeddings is None:
+            if means[j] is None or means[i].size != means[j].size:
                 continue
-            if records[i].embeddings.dim != records[j].embeddings.dim:
-                continue
-            d = pair_mmd(records[i].embeddings, records[j].embeddings)
+            d = float(np.linalg.norm(means[i] - means[j]))  # pair_mmd's value
             values[i, j] = values[j, i] = d
             valid[i, j] = valid[j, i] = True
     return PairMetricMatrix(bundle.names, values, valid)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import Bundle, EmbeddingMatrix, LabelVector, ModalityRecord, ScoreMatrix, json_field
+from .dataio import names_a_file
 
 KINDS = ("good", "random", "shifted")
 
@@ -25,6 +25,7 @@ _ZERO_NOISE_GAIN = 8.0
 
 _HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(201)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def expected_accuracy(gain_ratio: float, n_classes: int) -> float:
@@ -35,7 +36,12 @@ def expected_accuracy(gain_ratio: float, n_classes: int) -> float:
     ``Phi(z + gain_ratio)^(C-1)`` over a standard normal z, evaluated here by
     Gauss-Hermite quadrature.
     """
-    powers = ndtr(_HERMITE_NODES + gain_ratio) ** (n_classes - 1)
+    # Phi(x) = erfc(-x / sqrt 2) / 2, one Python call per node, so that the
+    # package needs no scipy. math.erfc can differ from cephes' ndtr by an
+    # ulp at a node; tests pin _calibrate_gain's results to ndtr's bits.
+    nodes = (_HERMITE_NODES + gain_ratio).tolist()
+    phi = np.array([0.5 * math.erfc(-x * _SQRT_HALF) for x in nodes])
+    powers = phi ** (n_classes - 1)
     return float(_HERMITE_WEIGHTS @ powers / _SQRT_2PI)
 
 
@@ -163,12 +169,17 @@ class Scenario:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Scenario":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it."""
-        modalities = json_field(payload, "modalities", "scenario", list)
+        specs = tuple(map(ModalitySpec.from_dict, json_field(payload, "modalities", "scenario", list)))
+        for i, spec in enumerate(specs):  # names become file names in the bundle synth writes
+            if not names_a_file(spec.name):
+                raise ValueError(
+                    f"scenario: modalities[{i}].name {spec.name!r} holds '/', '\\' or NUL and cannot name a file"
+                )
         return cls(
             classes=json_field(payload, "classes", "scenario", int),
             samples=json_field(payload, "samples", "scenario", int),
             embedding_dim=json_field(payload, "embedding_dim", "scenario", int),
-            modalities=tuple(ModalitySpec.from_dict(m) for m in modalities),
+            modalities=specs,
             seed=json_field(payload, "seed", "scenario", int),
         )
 
@@ -220,12 +231,15 @@ def generate(scenario: Scenario) -> tuple[Bundle, frozenset[str]]:
     onehot[np.arange(n_samples), labels] = 1.0
 
     records = []
+    gains: dict[float, float] = {}  # accuracy target -> calibrated gain ratio, each bisected once
     for spec in scenario.modalities:
         if spec.kind == "good":
             if spec.noise_scale == 0.0:
                 logits = _ZERO_NOISE_GAIN * onehot
             else:
-                gain = _calibrate_gain(spec.accuracy, n_classes) * spec.noise_scale
+                if spec.accuracy not in gains:
+                    gains[spec.accuracy] = _calibrate_gain(spec.accuracy, n_classes)
+                gain = gains[spec.accuracy] * spec.noise_scale
                 own_noise = rng.normal(0.0, 1.0, size=(n_samples, n_classes))
                 blended = (
                     math.sqrt(spec.coupling) * shared_noise

@@ -72,7 +72,9 @@ def test_synth_rejects_a_modality_name_that_leaves_the_out_dir(tmp_path, capsys)
     spath.write_text(json.dumps(scenario))
     out_dir = tmp_path / "work" / "out"
     assert run_cli("synth", "--scenario", spath, "--out-dir", out_dir) == 1
-    assert "'a/../../outside'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spath}: ") and "modalities[0].name 'a/../../outside'" in err
+    assert not out_dir.exists()  # rejected with the scenario, before the bundle is generated
     written = [p for p in tmp_path.rglob("*") if p.is_file() and p != spath]
     assert not [p for p in written if out_dir not in p.parents]
 

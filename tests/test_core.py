@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 import time
 
 import numpy as np
@@ -292,7 +293,8 @@ class TestAccuracyTable:
 def per_cell_from_dict(payload):
     """The table load as it was before entries filled whole rows: one dict entry per cell.
 
-    A value that float() rejects is an error naming its field.
+    A value that is not an int or float within the float range (a bool
+    included) is an error naming its field.
     """
 
     def field(record, name, where):
@@ -302,10 +304,9 @@ def per_cell_from_dict(payload):
             raise ValueError(f"{where} has no {name!r} field") from None
 
     def number(value, where, name):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{where}: {name!r} must hold numbers") from None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where}: {name} must be a finite number, not {value!r}")
+        return float(value)
 
     modalities = tuple(field(payload, "modalities", "accuracy table"))
     strategies = tuple(payload.get("strategies", ()))
@@ -316,12 +317,16 @@ def per_cell_from_dict(payload):
         combo = tuple(field(row, "combination", where))
         if combo in averaged:
             raise ValueError(f"duplicate entry for combination {sorted(combo)}")
-        averaged[combo] = number(field(row, "averaged", where), where, "averaged")
+        averaged[combo] = number(field(row, "averaged", where), where, "'averaged'")
         for s, v in row.get("strategies", {}).items():
-            per_strategy[(combo, s)] = number(v, where, "strategies")
+            per_strategy[(combo, s)] = number(v, where, f"'strategies' value {s!r}")
     if strategies:
         return AccuracyTable.from_per_strategy(modalities, strategies, per_strategy, payload.get("note", ""))
     return AccuracyTable.from_averaged(modalities, averaged, payload.get("note", ""))
+
+
+# Values a table cell or an averaged value must not hold: not a JSON number, or not finite.
+NOT_CELLS = ["x", None, "0.5", " 1e-1 ", True, False, float("nan"), -float("inf"), 10**400]
 
 
 @st.composite
@@ -353,9 +358,9 @@ def stored_tables(draw):
         elif kind == "drop averaged":
             entry.pop("averaged", None)
         elif kind == "bad averaged":
-            entry["averaged"] = draw(st.sampled_from(["x", None, "0.5", 2.0, float("nan")]))
+            entry["averaged"] = draw(st.sampled_from(NOT_CELLS + [2.0]))
         elif kind == "bad cell" and cells:
-            bad = draw(st.sampled_from(["x", None, "0.5", float("nan")]))
+            bad = draw(st.sampled_from(NOT_CELLS))
             cells[draw(st.sampled_from(sorted(cells)))] = bad
         elif kind == "drop cell" and cells:
             del cells[draw(st.sampled_from(sorted(cells)))]

@@ -351,20 +351,24 @@ def test_fuse_shares_no_memory_with_its_inputs(k):
 
 @pytest.mark.parametrize("k", range(1, 12))
 def test_fuse_matches_numpy_reductions_bit_for_bit(k):
-    # The fold reproduces the stack reductions the rules are defined by.
+    # The fold reproduces the stack reductions the rules are defined by, down
+    # to the sign of a zero: members drawn from {0.0, -0.0, 1.0} tie the two
+    # zeros in many cells.
     rng = np.random.default_rng(k)
-    xs = [rng.random((25, 4)) for _ in range(k)]
-    stack = np.stack(xs)
-    want = {
-        FusionStrategy.SUM: stack.sum(axis=0),
-        FusionStrategy.SQUARED_SUM: (stack * stack).sum(axis=0),
-        FusionStrategy.PRODUCT: np.prod(stack, axis=0),
-        FusionStrategy.MAXIMUM: stack.max(axis=0),
-        FusionStrategy.MEDIAN: np.median(stack, axis=0),
-    }
-    for strategy, expected in want.items():
-        assert np.array_equal(fuse(strategy, xs), expected), strategy
-    assert all(np.array_equal(x, y) for x, y in zip(xs, stack))  # inputs untouched
+    uniform = [rng.random((25, 4)) for _ in range(k)]
+    signed_zeros = [rng.choice([0.0, -0.0, 1.0], size=(25, 4)) for _ in range(k)]
+    for xs in (uniform, signed_zeros):
+        stack = np.stack(xs)
+        want = {
+            FusionStrategy.SUM: stack.sum(axis=0),
+            FusionStrategy.SQUARED_SUM: (stack * stack).sum(axis=0),
+            FusionStrategy.PRODUCT: np.prod(stack, axis=0),
+            FusionStrategy.MAXIMUM: stack.max(axis=0),
+            FusionStrategy.MEDIAN: np.median(stack, axis=0),
+        }
+        for strategy, expected in want.items():
+            assert fuse(strategy, xs).tobytes() == expected.tobytes(), strategy
+        assert all(np.array_equal(x, y) for x, y in zip(xs, stack))  # inputs untouched
 
 
 @pytest.mark.parametrize("k", range(1, 17))

@@ -3,6 +3,7 @@ ValueError that starts with the path it read. No other exception escapes."""
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -234,3 +235,39 @@ def test_table_reader_is_total(tmp_path, payload):
         assert isinstance(table, AccuracyTable)
         assert all(isinstance(m, str) for m in table.modalities + table.strategies)
         assert ((table.values >= 0) & (table.values <= 1)).all()
+        entries = payload.get("table", payload)["entries"]
+        cells = [v for e in entries for v in [e["averaged"], *e.get("strategies", {}).values()]]
+        assert all(type(v) in (int, float) and math.isfinite(v) for v in cells)
+
+
+BARE_TABLE = {"modalities": ["a", "b"], "entries": [
+    {"combination": c, "averaged": v} for c, v in ((["a"], 0.5), (["b"], 0.25), (["a", "b"], 0.75))
+]}
+
+
+@pytest.mark.parametrize(
+    "table, change, field",
+    [
+        (TABLE["table"], {"averaged": "0.5"}, "'averaged'"),
+        (TABLE["table"], {"averaged": True}, "'averaged'"),
+        (TABLE["table"], {"averaged": " 1e-1 "}, "'averaged'"),
+        (TABLE["table"], {"averaged": math.nan}, "'averaged'"),
+        (TABLE["table"], {"averaged": -math.inf}, "'averaged'"),
+        (TABLE["table"], {"strategies": {"sum": "0.5", "max": 1.0}}, "'strategies' value 'sum'"),
+        (TABLE["table"], {"strategies": {"sum": 0.5, "max": True}}, "'strategies' value 'max'"),
+        (TABLE["table"], {"strategies": {"sum": 0.5, "max": 10**400}}, "'strategies' value 'max'"),
+        (BARE_TABLE, {"averaged": "0.75"}, "'averaged'"),
+        (BARE_TABLE, {"averaged": False}, "'averaged'"),
+        (BARE_TABLE, {"averaged": math.nan}, "'averaged'"),
+    ],
+    ids=["string", "true", "padded-string", "nan", "-inf", "string-cell", "true-cell", "huge-int-cell",
+         "bare-string", "bare-false", "bare-nan"],
+)
+def test_table_cells_must_be_finite_json_numbers(tmp_path, table, change, field):
+    table = copy.deepcopy(table)
+    table["entries"][2].update(change)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))  # NaN and -Infinity as Python's json writes them
+    with pytest.raises(ValueError) as err:
+        load_table(path)
+    assert str(err.value).startswith(f"{path}: accuracy table entry 2: {field} must be a finite number")

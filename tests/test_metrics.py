@@ -145,6 +145,33 @@ def test_matrices_from_bundle(rng):
     np.testing.assert_array_equal(disc.values, disc.values.T)
 
 
+def test_matrices_hold_the_pair_functions_bits(rng):
+    # The matrices take each modality's moments once; every entry must keep
+    # the bits of the pair functions, which compute them per pair.
+    bundle = _mixed_bundle(rng)
+    flat = make_bundle([np.full((25, 3), 1.0 / 3)], names=["flat"]).modalities
+    bundle = type(bundle)(bundle.modalities + flat, None, bundle.class_names)
+    corr, disc = correlation_matrix(bundle), mmd_matrix(bundle)
+    records = bundle.modalities
+    for i, m in enumerate(records):
+        for j, n in enumerate(records):
+            rho = correlation_vector(m.scores, n.scores)
+            assert corr.valid[i, j] == (~np.isnan(rho)).any()
+            if corr.valid[i, j]:
+                assert corr.values[i, j].hex() == pair_correlation(m.scores, n.scores).hex()
+            if disc.valid[i, j]:
+                assert disc.values[i, j].hex() == pair_mmd(m.embeddings, n.embeddings).hex()
+
+
+def test_correlation_matrix_rejects_what_the_pair_function_rejects(rng):
+    short = make_bundle([simplex_rows(rng, 1, 3), simplex_rows(rng, 1, 3)])
+    with pytest.raises(ValueError, match="insufficient samples"):
+        correlation_matrix(short)
+    ragged = make_bundle([simplex_rows(rng, 5, 3), simplex_rows(rng, 4, 3)])
+    with pytest.raises(ValueError, match="incompatible score matrices"):
+        correlation_matrix(ragged)
+
+
 def test_constant_modality_invalidates_only_its_pairs(rng):
     scores = [simplex_rows(rng, 25, 3) for _ in range(3)] + [np.full((25, 3), 1.0 / 3)]
     bundle = make_bundle(scores, names=["a", "b", "c", "flat"])

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from modselect import mpca, pair_correlation, predict, validate_bundle
+from modselect import mpca, pair_correlation, predict, synth, validate_bundle
 from modselect.metrics import aggregated_from_matrices, correlation_matrix, mmd_matrix
 from modselect.synth import (
     ModalitySpec,
@@ -66,6 +71,58 @@ def test_expected_accuracy_chance_level():
     assert expected_accuracy(8.0, 10) > 0.999
 
 
+# Calibrated gain ratios as float.hex, recorded when the normal CDF came from
+# scipy.special.ndtr: the math.erfc quadrature must land on the same bits,
+# or every synthetic bundle changes.
+PINNED_GAINS = {
+    (0.55, 2): "0x1.6bf44253a2c00p-3",
+    (0.7, 2): "0x1.7bb4df2d20b00p-1",
+    (0.9, 2): "0x1.cff8a2529b780p+0",
+    (0.999, 2): "0x1.17b226816fd20p+2",
+    (0.55, 5): "0x1.2c2efd6b8fd80p+0",
+    (0.7, 5): "0x1.a94ff120dde80p+0",
+    (0.9, 5): "0x1.4cc3172c5c040p+1",
+    (0.999, 5): "0x1.39e8e1d5689e0p+2",
+    (0.55, 20): "0x1.fa258f668ba80p+0",
+    (0.7, 20): "0x1.36ff8a64316c0p+1",
+    (0.9, 20): "0x1.a638a2d444dc0p+1",
+    (0.999, 20): "0x1.5c38221b20760p+2",
+    (0.55, 100): "0x1.51172ae6b8cc0p+1",
+    (0.7, 100): "0x1.88c65f116f0c0p+1",
+    (0.9, 100): "0x1.f3756b00645c0p+1",
+    (0.999, 100): "0x1.7c9d7704fae60p+2",
+    (0.15, 10): "0x1.1eb8d6ffd6200p-2",
+    (0.3, 4): "0x1.7bf1cd4a2a400p-3",
+    (1.0, 3): "0x1.dffffffffffc4p+5",
+    (1.0, 31): "0x1.dffffffffffc4p+5",
+}
+
+
+@pytest.mark.parametrize("target, n_classes", PINNED_GAINS)
+def test_calibrated_gain_keeps_its_bits(target, n_classes):
+    assert synth._calibrate_gain(target, n_classes).hex() == PINNED_GAINS[target, n_classes]
+
+
+def test_importing_the_package_leaves_scipy_out():
+    code = "import sys, modselect, modselect.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(synth.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_generate_calibrates_each_target_once(monkeypatch):
+    calls = []
+
+    def calibrate(target, n_classes):
+        calls.append(target)
+        return 1.0
+
+    monkeypatch.setattr(synth, "_calibrate_gain", calibrate)
+    specs = [ModalitySpec(f"g{i}", "good", accuracy=0.7 if i % 3 else 0.8) for i in range(6)]
+    generate(Scenario(5, 20, 2, (*specs, ModalitySpec("r", "random")), seed=1))
+    assert sorted(calls) == [0.7, 0.8]
+
+
 def test_shifted_modality_separation():
     bundle, _ = generate(default_scenario(seed=3))
     agg = aggregated_from_matrices(correlation_matrix(bundle), mmd_matrix(bundle))
@@ -119,6 +176,15 @@ def test_scenario_validation():
         ModalitySpec("x", "excellent")
     with pytest.raises(ValueError, match="coupling"):
         ModalitySpec("x", "good", coupling=1.5)
+
+
+@pytest.mark.parametrize("name", ["a/../../outside", "a\\b", "nul\0"])
+def test_scenario_rejects_a_modality_name_that_cannot_name_a_file(name):
+    payload = default_scenario().to_dict()
+    payload["modalities"][1]["name"] = name
+    with pytest.raises(ValueError, match=r"modalities\[1\]\.name") as err:
+        Scenario.from_dict(payload)
+    assert repr(name) in str(err.value)
 
 
 def test_scenario_dict_round_trip():
