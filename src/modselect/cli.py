@@ -28,10 +28,15 @@ def _tool_block() -> dict:
     return {"name": "modselect", "version": __version__}
 
 
-def cmd_evaluate(args) -> int:
+def _sweep_manifest(args) -> tuple[AccuracyTable, dict, list[str]]:
+    """Load the ``--manifest`` bundle and sweep ``--strategies``: (table, digests, strategy names)."""
     bundle, digests = dataio.load_bundle(args.manifest)
     strategies = parse_strategies(args.strategies)
-    table = sweep(bundle, strategies)
+    return sweep(bundle, strategies), digests, [s.value for s in strategies]
+
+
+def cmd_evaluate(args) -> int:
+    table, digests, strategies = _sweep_manifest(args)
     base = Path(args.out)
     payload = {
         "schema": 1,
@@ -39,7 +44,7 @@ def cmd_evaluate(args) -> int:
         "config": {
             "command": "evaluate",
             "manifest": str(args.manifest),
-            "strategies": [s.value for s in strategies],
+            "strategies": strategies,
         },
         "inputs": digests,
         "scale": "fraction",
@@ -63,14 +68,8 @@ def _contribution_table(args) -> tuple[AccuracyTable, dict, dict]:
     if args.table:
         digest = {str(args.table): dataio.sha256_file(args.table)}
         return dataio.load_table(args.table), digest, {"source": "table", "table": str(args.table)}
-    bundle, digests = dataio.load_bundle(args.manifest)
-    strategies = parse_strategies(args.strategies)
-    table = sweep(bundle, strategies)
-    return table, digests, {
-        "source": "manifest",
-        "manifest": str(args.manifest),
-        "strategies": [s.value for s in strategies],
-    }
+    table, digests, strategies = _sweep_manifest(args)
+    return table, digests, {"source": "manifest", "manifest": str(args.manifest), "strategies": strategies}
 
 
 def cmd_contribution(args) -> int:
@@ -174,25 +173,19 @@ def _load_skeleton(path) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_encode(args) -> int:
-    if args.encoder == "heatmap":
-        kp = dataio.read_keypoints_csv(args.keypoints)
-        image = heatmap(kp, args.width, args.height, sigma=args.sigma, combine=args.combine)
-        write_pgm(image, args.out, binary=not args.ascii)
-    elif args.encoder == "limbs":
-        kp = dataio.read_keypoints_csv(args.keypoints)
-        image = limbs(kp, args.width, args.height, skeleton=_load_skeleton(args.skeleton))
-        write_pgm(image, args.out, binary=not args.ascii)
-    else:
-        detections = dataio.read_detections_csv(args.detections)
-        vector = detection_vector(detections, args.classes)
+    if args.encoder == "detvec":
+        vector = detection_vector(dataio.read_detections_csv(args.detections), args.classes)
         if args.format == "json":
             dataio.dump_json({"schema": 1, "tool": _tool_block(), "vector": list(vector)}, args.out)
         else:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(f"v{i}" for i in range(len(vector))) + "\n")
-                fh.write(",".join(repr(float(v)) for v in vector) + "\n")
+            dataio.write_vector_csv(args.out, vector)
+    else:
+        kp = dataio.read_keypoints_csv(args.keypoints)
+        if args.encoder == "heatmap":
+            image = heatmap(kp, args.width, args.height, sigma=args.sigma, combine=args.combine)
+        else:
+            image = limbs(kp, args.width, args.height, skeleton=_load_skeleton(args.skeleton))
+        write_pgm(image, args.out, binary=not args.ascii)
     print(f"wrote {args.out}")
     return 0
 
@@ -291,7 +284,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as err:
-        message = err.args[0] if err.args else err
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err  # str(KeyError) quotes
         print(f"error: {message}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,8 @@ the identical bit pattern, so serializing and reloading a bundle is lossless.
 Row order in every file is authoritative; sample ids are only checked for
 consistency across the files of one bundle.
 
-CSV files are read with ``csv.reader``, which names the file and line of an
-error. Matrix files without quotes or carriage returns are first tried with
+CSV files are read through one ``csv.reader`` record loop, which names the
+file and line of an error. Matrix files without quotes or carriage returns are first tried with
 ``str.split`` and ``np.loadtxt``, which give the same values faster; any
 file that path rejects goes through ``csv.reader``.
 
@@ -18,7 +18,6 @@ one process.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -225,22 +224,42 @@ def _plain_lines(text: str) -> tuple[list[str], list[str]] | None:
     return head.split(","), lines
 
 
-def _records(path, text: str):
-    """``(record number, fields)`` of every CSV record; csv errors name the file."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _csv_rows(path, header: list[str] | None, parse) -> tuple[list[str], list[list[str]], list]:
+    """The header of a CSV file, its nonblank records after it, and ``parse(record)`` of each.
+
+    The header must equal ``header``; None asks for a matrix header,
+    ``sample_id`` then at least one value column. Every record must have
+    the header's field count. An error in a record, from csv.reader or
+    ``parse``, is prefixed with ``path:N``: N is csv.reader's line for its
+    own errors and the record number for the rest.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        yield from enumerate(reader, start=1)
+        first = next(reader, None)
+        if header is not None:
+            if first != header:
+                raise ValueError(f"{path}: expected header '{','.join(header)}'")
+        elif first is None:
+            raise ValueError(f"{path}: empty file")
+        elif not first or first[0] != "sample_id":
+            raise ValueError(f"{path}: first header column must be 'sample_id'")
+        elif len(first) < 2:
+            raise ValueError(f"{path}: no value columns")
+        n = len(first)
+        lineno, rows, values = 1, [], []
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != n:
+                    if not row:
+                        continue
+                    raise ValueError(f"expected {n} fields, got {len(row)}")
+                values.append(parse(row))
+                rows.append(row)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
     except csv.Error as err:
         raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-
-
-@contextlib.contextmanager
-def _at(path, lineno: int):
-    """Prefix a ValueError raised inside with ``path:lineno``."""
-    try:
-        yield
-    except ValueError as err:
-        raise ValueError(f"{path}:{lineno}: {err}") from None
+    return first, rows, values
 
 
 def _finite(fields: Sequence[str]) -> list[float]:
@@ -274,34 +293,15 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
                 values = None
             if values is not None and np.isfinite(values).all():
                 return [line[: line.index(",")] for line in lines], header[1:], values
-    return _matrix_from_records(path, _read_text(path))
+    return _matrix_from_records(path)
 
 
-def _matrix_from_records(path, text: str) -> tuple[list[str], list[str], np.ndarray]:
+def _matrix_from_records(path) -> tuple[list[str], list[str], np.ndarray]:
     """read_matrix_csv through csv.reader: every input, every error message."""
-    records = _records(path, text)
-    try:
-        _, header = next(records)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    if not header or header[0] != "sample_id":
-        raise ValueError(f"{path}: first header column must be 'sample_id'")
-    columns = header[1:]
-    if not columns:
-        raise ValueError(f"{path}: no value columns")
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, row in records:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[0])
-        with _at(path, lineno):
-            rows.append(_finite(row[1:]))
+    header, rows, values = _csv_rows(path, None, lambda row: _finite(row[1:]))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return ids, columns, np.array(rows, dtype=np.float64)
+    return [row[0] for row in rows], header[1:], np.array(values, dtype=np.float64)
 
 
 def write_labels_csv(path, labels: LabelVector, sample_ids=None) -> None:
@@ -310,27 +310,19 @@ def write_labels_csv(path, labels: LabelVector, sample_ids=None) -> None:
     _write_csv(path, ["sample_id", "label"], (f"{sid},{v}\n" for sid, v in zip(ids, values.tolist())))
 
 
+def _label(row: list[str]) -> int:
+    try:
+        return int(row[1])
+    except ValueError:
+        raise ValueError("labels must be integer class indices") from None
+
+
 def read_labels_csv(path) -> tuple[list[str], LabelVector]:
-    records = _records(path, _read_text(path))
-    _, header = next(records, (1, None))
-    if header != ["sample_id", "label"]:
-        raise ValueError(f"{path}: expected header 'sample_id,label'")
-    ids: list[str] = []
-    values: list[int] = []
-    for lineno, row in records:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 fields")
-        ids.append(row[0])
-        try:
-            values.append(int(row[1]))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: labels must be integer class indices") from None
-    if not values:
+    _, rows, values = _csv_rows(path, ["sample_id", "label"], _label)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
     try:
-        return ids, LabelVector(np.array(values, dtype=np.int64))
+        return [row[0] for row in rows], LabelVector(np.array(values, dtype=np.int64))
     except OverflowError:
         raise ValueError(f"{path}: a label is outside the 64-bit integer range") from None
 
@@ -395,19 +387,19 @@ def load_manifest(path) -> Manifest:
     )
 
 
-def load_bundle(manifest: Manifest | str | Path) -> tuple[Bundle, dict[str, str]]:
-    """Load and validate a bundle; returns it with per-file sha256 digests.
+def load_bundle(manifest_path) -> tuple[Bundle, dict[str, str]]:
+    """Load and validate the bundle a manifest file describes.
 
-    Raises if any file is unreadable, sample ids disagree between files, or
-    the assembled bundle violates an invariant (for example score rows off
-    the probability simplex by more than the tolerance are rejected, never
-    renormalized).
+    Returns it with the sha256 digest of every file read: the manifest's
+    under its path as ``pathlib`` prints it, each data file's under its path
+    in the manifest. Raises if any file is unreadable, sample ids disagree
+    between files, or the assembled bundle violates an invariant (for
+    example score rows off the probability simplex by more than the
+    tolerance are rejected, never renormalized).
     """
-    digests: dict[str, str] = {}
-    if not isinstance(manifest, Manifest):
-        manifest_path = Path(manifest)
-        digests[str(manifest_path)] = sha256_file(manifest_path)
-        manifest = load_manifest(manifest_path)
+    manifest_path = Path(manifest_path)
+    digests = {str(manifest_path): sha256_file(manifest_path)}
+    manifest = load_manifest(manifest_path)
 
     reference_ids: list[str] | None = None
     reference_file = ""
@@ -512,50 +504,30 @@ def write_keypoints_csv(path, keypoints: Keypoints) -> None:
 
 
 def read_keypoints_csv(path) -> Keypoints:
-    records = _records(path, _read_text(path))
-    _, header = next(records, (1, None))
-    if header != ["x", "y", "confidence"]:
-        raise ValueError(f"{path}: expected header 'x,y,confidence'")
-    rows = []
-    for lineno, row in records:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields")
-        with _at(path, lineno):
-            rows.append(Keypoints([_finite(row)]).joints[0])
-    return Keypoints(np.array(rows, dtype=np.float64).reshape(-1, 3))
+    _, _, joints = _csv_rows(path, ["x", "y", "confidence"], lambda row: Keypoints([_finite(row)]).joints[0])
+    return Keypoints(np.array(joints, dtype=np.float64).reshape(-1, 3))
 
 
 def read_detections_csv(path) -> DetectionSet:
     """Read one frame's detections: exactly one person row plus object rows."""
-    person = None
-    objects = []
-    records = _records(path, _read_text(path))
-    _, header = next(records, (1, None))
-    expected = ["role", "class_index", "x_min", "y_min", "x_max", "y_max"]
-    if header != expected:
-        raise ValueError(f"{path}: expected header '{','.join(expected)}'")
-    for lineno, row in records:
-        if not row:
-            continue
-        if len(row) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 fields")
-        with _at(path, lineno):
-            role = row[0]
-            box = Box(*_finite(row[2:6]))
-            if role == "person":
-                if person is not None:
-                    raise ValueError("more than one person row")
-                person = box
-            elif role == "object":
-                objects.append((int(row[1]), box))
-                DetectionSet(box, objects[-1:])  # checks the class index where the line is known
-            else:
-                raise ValueError("role must be 'person' or 'object'")
-    if person is None:
+    people, objects = [], []
+
+    def parse(row: list[str]) -> None:
+        box = Box(*_finite(row[2:6]))
+        if row[0] == "person":
+            if people:
+                raise ValueError("more than one person row")
+            people.append(box)
+        elif row[0] == "object":
+            objects.append((int(row[1]), box))
+            DetectionSet(box, objects[-1:])  # checks the class index where the line is known
+        else:
+            raise ValueError("role must be 'person' or 'object'")
+
+    _csv_rows(path, ["role", "class_index", "x_min", "y_min", "x_max", "y_max"], parse)
+    if not people:
         raise ValueError(f"{path}: no person row")
-    return DetectionSet(person, tuple(objects))
+    return DetectionSet(people[0], tuple(objects))
 
 
 def write_detections_csv(path, detections: DetectionSet) -> None:
@@ -564,6 +536,11 @@ def write_detections_csv(path, detections: DetectionSet) -> None:
         f"{role},{c},{','.join(map(_fmt, (b.x_min, b.y_min, b.x_max, b.y_max)))}\n" for role, c, b in rows
     )
     _write_csv(path, ["role", "class_index", "x_min", "y_min", "x_max", "y_max"], lines)
+
+
+def write_vector_csv(path, vector) -> None:
+    """One vector as a single CSV row under the header ``v0,v1,...``."""
+    _write_csv(path, [f"v{i}" for i in range(len(vector))], [",".join(map(_fmt, vector)) + "\n"])
 
 
 def write_table_csv(path, table: AccuracyTable) -> None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +114,8 @@ def heatmap(
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if combine not in ("max", "sum"):
         raise ValueError("combine must be 'max' or 'sum'")
     if width < 1 or height < 1:
@@ -191,6 +195,8 @@ def detection_vector(detections: DetectionSet, n_classes: int = DEFAULT_DETECTIO
     more; distances are clamped below at one pixel. Absent classes stay 0.
     The vector is scaled to unit norm when any object is present.
     """
+    if n_classes < 1:
+        raise ValueError(f"class count must be positive, got {n_classes}")
     vector = np.zeros(n_classes)
     px, py = detections.person_box.center
     for class_index, box in detections.objects:
@@ -208,7 +214,8 @@ def detection_vector(detections: DetectionSet, n_classes: int = DEFAULT_DETECTIO
 
 
 def write_pgm(image: RasterImage, path, binary: bool = True) -> None:
-    """Write a raster as a portable graymap (P5 binary, or P2 ASCII)."""
+    """Write a raster as a portable graymap (P5 binary, or P2 ASCII), making its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     gray = np.round(image.values * 255.0).astype(np.uint8)
     header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n255\n"
     if binary:

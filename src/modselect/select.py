@@ -259,15 +259,24 @@ def _decide(
     return Decision(subject, rho, mmd, rho_pass, mmd_pass, basis, selected, tuple(reasons))
 
 
+def _notes(metrics: AggregatedMetrics) -> list[str]:
+    """A note for each modality judged on correlation alone, then for each without a correlated partner."""
+    names, rho, mmd = metrics.names, metrics.rho, metrics.mmd
+    notes = [f"modality {m!r} judged on correlation alone (no comparable embeddings)" for m in names
+             if mmd[m] is None and rho[m] is not None]
+    return notes + [f"modality {m!r} has no comparable partners: its correlation with every other modality is undefined"
+                    for m in names if rho[m] is None]
+
+
 def _select(
     mode: str,
     subjects: list,
     rho: list[float | None],
     mmd: list[float | None],
-    notes: list[str],
+    metrics: AggregatedMetrics,
     config: ThresholdConfig,
 ) -> SelectionReport:
-    """Threshold the known values, then apply :func:`_decide` to every subject."""
+    """Threshold the known values, apply :func:`_decide` to every subject, note from ``metrics``."""
     rho_thr = _threshold([v for v in rho if v is not None], config.delta_rho, config)
     mmd_thr = _threshold([v for v in mmd if v is not None], config.delta_mmd, config)
     return SelectionReport(
@@ -282,16 +291,8 @@ def _select(
             _decide(s, r, d, rho_thr, mmd_thr, config.consensus)
             for s, r, d in zip(subjects, rho, mmd)
         ),
-        notes=tuple(notes),
+        notes=tuple(_notes(metrics)),
     )
-
-
-def _alone_note(name: str) -> str:
-    return f"modality {name!r} judged on correlation alone (no comparable embeddings)"
-
-
-def _no_partner_note(name: str) -> str:
-    return f"modality {name!r} has no comparable partners: its correlation with every other modality is undefined"
 
 
 def aggregated_select(
@@ -312,9 +313,7 @@ def aggregated_select(
         raise ValueError("selection needs alternatives")
     rho = [metrics.rho[m] for m in names]
     mmd = [metrics.mmd[m] for m in names]
-    notes = [_alone_note(m) for m, r, d in zip(names, rho, mmd) if d is None and r is not None]
-    notes += [_no_partner_note(m) for m, r in zip(names, rho) if r is None]
-    report = _select("aggregated", names, rho, mmd, notes, config)
+    report = _select("aggregated", names, rho, mmd, metrics, config)
     return replace(report, aggregates=metrics)
 
 
@@ -345,14 +344,9 @@ def pairs_select(
     pair_list = correlations.pairs()
     rho = [known(correlations, m, n) for m, n in pair_list]
     mmd = [known(discrepancies, m, n) for m, n in pair_list]
-
-    def partnered(matrix: PairMetricMatrix | None, m: str) -> bool:
-        return any(known(matrix, m, n) is not None for n in names if n != m)
-
-    # The notes aggregated mode writes, from each modality's valid pairs.
-    notes = [_alone_note(m) for m in names if partnered(correlations, m) and not partnered(discrepancies, m)]
-    notes += [_no_partner_note(m) for m in names if not partnered(correlations, m)]
-    return _select("pairs", pair_list, rho, mmd, notes, config)
+    # The notes aggregated mode writes, from each modality's valid pairs with others.
+    metrics = aggregated_from_matrices(correlations, discrepancies)
+    return _select("pairs", pair_list, rho, mmd, metrics, config)
 
 
 def run_modselect(bundle: Bundle, config: ThresholdConfig = ThresholdConfig()) -> SelectionReport:

@@ -9,8 +9,8 @@ can be validated against planted ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
@@ -98,29 +98,17 @@ class ModalitySpec:
             raise ValueError("noise scale must be finite and nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "accuracy": self.accuracy,
-            "coupling": self.coupling,
-            "embedding_offset": self.embedding_offset,
-            "noise_scale": self.noise_scale,
-            "embeddings": self.embeddings,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ModalitySpec":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it."""
-        where = "scenario modality"
-        return cls(
-            name=json_field(payload, "name", where, str),
-            kind=json_field(payload, "kind", where, str),
-            accuracy=json_field(payload, "accuracy", where, float, 0.7),
-            coupling=json_field(payload, "coupling", where, float, 0.85),
-            embedding_offset=json_field(payload, "embedding_offset", where, float, 0.0),
-            noise_scale=json_field(payload, "noise_scale", where, float, 1.0),
-            embeddings=json_field(payload, "embeddings", where, bool, True),
-        )
+        kinds = get_type_hints(cls)
+        return cls(**{
+            f.name: json_field(payload, f.name, "scenario modality", kinds[f.name],
+                               *(() if f.default is MISSING else (f.default,)))
+            for f in fields(cls)
+        })
 
 
 @dataclass(frozen=True)

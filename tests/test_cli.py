@@ -92,6 +92,14 @@ def test_evaluate_writes_table_and_is_deterministic(bundle_dir, tmp_path):
     assert payload["inputs"]  # digests recorded
 
 
+@pytest.mark.parametrize("command", ["evaluate", "select"])
+def test_a_missing_manifest_is_named(tmp_path, capsys, command):
+    manifest = tmp_path / "missing.json"
+    assert run_cli(command, "--manifest", manifest, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(manifest) in err
+
+
 def test_evaluate_requires_labels(tmp_path, bundle_dir, capsys):
     manifest = json.loads((bundle_dir / "manifest.json").read_text())
     manifest.pop("labels_path")
@@ -285,21 +293,32 @@ def test_select_pairs_mode_reports_when_no_pair_has_a_correlation(tmp_path, caps
 
 
 def test_select_pairs_mode_notes_a_modality_without_correlated_partners(tmp_path, capsys):
-    # random1 has no embeddings, and uniform scores leave each of its pairs
-    # without a correlation, while the other pairs keep theirs: both modes
-    # must note that it has no partner, not that it is judged on correlation.
-    bundle = tmp_path / "bundle"
-    assert run_cli("synth", "--seed", 7, "--samples", 250, "--classes", 5, "--dim", 6, "--out-dir", bundle) == 0
-    path = bundle / "scores_random1.csv"
-    header, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([header] + [row.split(",")[0] + f",{1 / 5!r}" * 5 for row in rows]) + "\n")
-    notes = {}
-    for mode in ("aggregated", "pairs"):
-        out = tmp_path / f"{mode}.json"
-        assert run_cli("select", "--manifest", bundle / "manifest.json", "--mode", mode, "--out", out) == 0
-        notes[mode] = json.loads(out.read_text())["notes"]
-    assert [note.split(":")[0] for note in notes["pairs"]] == ["modality 'random1' has no comparable partners"]
-    assert notes["pairs"] == notes["aggregated"]
+    cases = {
+        # random1 has no embeddings, and uniform scores leave each of its
+        # pairs without a correlation, while the other pairs keep theirs:
+        # both modes note that it has no partner, not that it is judged on
+        # correlation.
+        "random1": ["modality 'random1' has no comparable partners"],
+        # With uniform scores on shifted1 instead, random1 keeps correlated
+        # partners and is judged on correlation alone.
+        "shifted1": [
+            "modality 'random1' judged on correlation alone (no comparable embeddings)",
+            "modality 'shifted1' has no comparable partners",
+        ],
+    }
+    for constant, expected in cases.items():
+        bundle = tmp_path / constant
+        assert run_cli("synth", "--seed", 7, "--samples", 250, "--classes", 5, "--dim", 6, "--out-dir", bundle) == 0
+        path = bundle / f"scores_{constant}.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [row.split(",")[0] + f",{1 / 5!r}" * 5 for row in rows]) + "\n")
+        notes = {}
+        for mode in ("aggregated", "pairs"):
+            out = tmp_path / f"{constant}-{mode}.json"
+            assert run_cli("select", "--manifest", bundle / "manifest.json", "--mode", mode, "--out", out) == 0
+            notes[mode] = json.loads(out.read_text())["notes"]
+        assert [note.split(":")[0] for note in notes["pairs"]] == expected
+        assert notes["pairs"] == notes["aggregated"]
 
 
 def test_select_deterministic(bundle_dir, tmp_path):
@@ -316,6 +335,10 @@ def test_encode_heatmap_and_limbs(tmp_path):
     assert run_cli("encode", "heatmap", "--keypoints", kp, "--width", 16, "--height", 12,
                    "--sigma", 2.0, "--out", heat) == 0
     assert heat.read_bytes().startswith(b"P5\n16 12\n255\n")
+    nested = tmp_path / "new" / "h.pgm"  # the writer makes a missing directory
+    assert run_cli("encode", "heatmap", "--keypoints", kp, "--width", 16, "--height", 12,
+                   "--sigma", 2.0, "--out", nested) == 0
+    assert nested.read_bytes() == heat.read_bytes()
 
     skeleton = tmp_path / "sk.json"
     skeleton.write_text("[[0, 1]]")
@@ -323,6 +346,21 @@ def test_encode_heatmap_and_limbs(tmp_path):
     assert run_cli("encode", "limbs", "--keypoints", kp, "--width", 16, "--height", 12,
                    "--skeleton", skeleton, "--ascii", "--out", limb) == 0
     assert limb.read_text().startswith("P2\n16 12\n255\n")
+    nested = tmp_path / "new2" / "l.pgm"
+    assert run_cli("encode", "limbs", "--keypoints", kp, "--width", 16, "--height", 12,
+                   "--skeleton", skeleton, "--ascii", "--out", nested) == 0
+    assert nested.read_bytes() == limb.read_bytes()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_encode_heatmap_rejects_a_non_finite_sigma(tmp_path, capsys, sigma):
+    kp = tmp_path / "kp.csv"
+    kp.write_text("x,y,confidence\n4.0,4.0,1.0\n")
+    out = tmp_path / "h.pgm"
+    assert run_cli("encode", "heatmap", "--keypoints", kp, "--width", 8, "--height", 8,
+                   "--sigma", sigma, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: sigma must be finite, got {sigma}\n"
+    assert not out.exists()
 
 
 def test_encode_detvec(tmp_path):
@@ -334,15 +372,25 @@ def test_encode_detvec(tmp_path):
     )
     out = tmp_path / "v.csv"
     assert run_cli("encode", "detvec", "--detections", det, "--classes", 6, "--out", out) == 0
-    header, row = out.read_text().splitlines()
-    assert header.split(",")[3] == "v3"
-    values = np.array([float(v) for v in row.split(",")])
-    assert values[3] == pytest.approx(1.0)
+    assert out.read_bytes() == b"v0,v1,v2,v3,v4,v5\n0.0,0.0,0.0,1.0,0.0,0.0\n"
+    nested = tmp_path / "new" / "v.csv"
+    assert run_cli("encode", "detvec", "--detections", det, "--classes", 6, "--out", nested) == 0
+    assert nested.read_bytes() == out.read_bytes()
 
     out_json = tmp_path / "v.json"
     assert run_cli("encode", "detvec", "--detections", det, "--classes", 6,
                    "--format", "json", "--out", out_json) == 0
     assert json.loads(out_json.read_text())["vector"][3] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("classes", [0, -1])
+def test_encode_detvec_rejects_a_class_count_below_one(tmp_path, capsys, classes):
+    det = tmp_path / "det.csv"
+    det.write_text("role,class_index,x_min,y_min,x_max,y_max\nperson,,0,0,2,2\n")
+    out = tmp_path / "v.csv"
+    assert run_cli("encode", "detvec", "--detections", det, "--classes", classes, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: class count must be positive, got {classes}\n"
+    assert not out.exists()
 
 
 def test_encode_deterministic(tmp_path):

@@ -234,6 +234,26 @@ def test_matrix_csv_rows_whose_extra_and_missing_commas_cancel(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize(
+    "read, header, row",
+    [
+        (read_matrix_csv, "sample_id,a,b", "0,0.5,0.5"),
+        (read_labels_csv, "sample_id,label", "0,1"),
+        (read_keypoints_csv, "x,y,confidence", "1,2,0.5"),
+        (read_detections_csv, "role,class_index,x_min,y_min,x_max,y_max", "person,,0,0,1,1"),
+    ],
+)
+@pytest.mark.parametrize("extra", [1, -1])
+def test_readers_name_the_field_count_of_a_long_or_short_row(tmp_path, read, header, row, extra):
+    n = header.count(",") + 1
+    bad = row + ",9" if extra > 0 else row[: row.rindex(",")]
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{row}\n\n{bad}\n")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path}:4: expected {n} fields, got {n + extra}"
+
+
 def test_keypoints_round_trip(tmp_path):
     kp = Keypoints([[1.5, 2.25, 0.5], [10.0, 3.0, 1.0]])
     path = tmp_path / "kp.csv"
@@ -325,7 +345,7 @@ def same_matrix(left, right):
 def test_fast_matrix_reader_matches_csv_path(tmp_path, text):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert same_matrix(outcome(read_matrix_csv, path), outcome(dataio._matrix_from_records, path, text))
+    assert same_matrix(outcome(read_matrix_csv, path), outcome(dataio._matrix_from_records, path))
 
 
 def test_plain_lines_only_where_csv_reader_splits_alike():

@@ -50,6 +50,11 @@ class TestHeatmap:
         with pytest.raises(ValueError, match="sigma"):
             heatmap(Keypoints([[1.0, 1.0, 1.0]]), 8, 8, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
+            heatmap(Keypoints([[1.0, 1.0, 1.0]]), 8, 8, sigma=sigma)
+
     def test_radial_monotonicity(self):
         image = heatmap(Keypoints([[12.0, 9.0, 0.8]]), 30, 30, sigma=4.0)
         row = image.values[9, 12:]
@@ -175,6 +180,11 @@ class TestDetectionVector:
         det = DetectionSet(Box(0, 0, 1, 1), ((9, Box(2, 2, 3, 3)),))
         with pytest.raises(ValueError, match="outside"):
             detection_vector(det, 4)
+
+    @pytest.mark.parametrize("n_classes", [0, -1])
+    def test_class_count_must_be_positive(self, n_classes):
+        with pytest.raises(ValueError, match=f"^class count must be positive, got {n_classes}$"):
+            detection_vector(DetectionSet(Box(0, 0, 1, 1)), n_classes)
 
 
 def test_pgm_round_trip(tmp_path, rng):
