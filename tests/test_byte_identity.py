@@ -154,3 +154,32 @@ def test_evaluate_writes_pinned_bytes_when_scores_tie(tmp_path, monkeypatch, cap
     assert main(["evaluate", "--manifest", "bundle/manifest.json", "--out", "table"]) == 0
     got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in TIE_EXPECTED}
     assert got == TIE_EXPECTED
+
+
+# One select run per report setting, each on the seed-42 bundle above.
+SELECT_VARIANTS = {
+    "pairs.json": ["--mode", "pairs"],
+    "and.json": ["--consensus", "and"],
+    "self.json": ["--no-exclude-self-pairs"],
+    "interp.json": ["--interpolate-percentiles"],
+    "override.json": ["--delta-rho", "0.3", "--delta-mmd", "1"],
+    "lambda0.json": ["--lambda", "0"],
+}
+SELECT_EXPECTED = {
+    "pairs.json": "86be54dc5e3c7e5410c46383263755b8b11211d82c745153c1ae2e517e253e2b",
+    "and.json": "44b246a068533e1dc620331fa5e5ac9361ef19e2ca7d9f7022c34a90694fa6a2",
+    "self.json": "32476ec445722376c84d499d52721fc36734ba7ac939fba76dc9d7830352ce4c",
+    "interp.json": "bdac2b0e2e2fd3744a69a74dec1d1175f7b89731920e1dc4446096705082b7cf",
+    "override.json": "7fa73b995f1075969e1c414e02906b1e021b4e037b3d1d71181ee070a09d2996",
+    "lambda0.json": "77eebef6e890076a3416d6ad0a83843f2d1ea07ae50dcfd64cc020f584118dbb",
+}
+
+
+def test_select_variants_write_pinned_bytes(tmp_path, monkeypatch, capsys, cpu_set):
+    monkeypatch.chdir(tmp_path)
+    synth = ["synth", "--seed", "42", "--samples", "200", "--classes", "5", "--dim", "8", "--out-dir", "bundle"]
+    assert main(synth) == 0
+    for out, flags in SELECT_VARIANTS.items():
+        assert main(["select", "--manifest", "bundle/manifest.json", *flags, "--out", out]) == 0
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in SELECT_EXPECTED}
+    assert got == SELECT_EXPECTED

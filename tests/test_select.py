@@ -373,6 +373,14 @@ class TestRunModselect:
         assert "pair_correlations" in payload["intermediate"]
 
 
+def test_an_integer_override_is_reported_as_a_float():
+    rho = {m: 0.5 for m in MODALITIES}
+    mmd = {m: 1.0 for m in MODALITIES}
+    config = aggregated_select(_metrics(rho, mmd), ThresholdConfig(delta_rho=1)).to_dict()["config"]
+    assert config["delta_rho_override"] == 1.0 and type(config["delta_rho_override"]) is float
+    assert config["delta_mmd_override"] is None
+
+
 def test_threshold_config_validation():
     with pytest.raises(ValueError):
         ThresholdConfig(lam=0.7)
