@@ -20,7 +20,7 @@ from .encode import (
 from .fixtures import FIXTURE_DATASETS, load_fixture
 from .fusion import ALL_STRATEGIES, parse_strategies, sweep
 from .quantify import contribution_report
-from .select import ThresholdConfig, run_modselect
+from .select import CONSENSUS_MODES, SELECTION_MODES, ThresholdConfig, run_modselect
 from .synth import Scenario, default_scenario, generate
 
 
@@ -119,7 +119,7 @@ def cmd_select(args) -> int:
         f" ({rho.source}), discrepancy "
         f"{mmd.value if mmd.value is None else format(mmd.value, '.6g')} ({mmd.source})"
     )
-    if report.mode == "aggregated":
+    if report.config.mode == "aggregated":
         print(f"selected: {{{', '.join(report.selected)}}}")
         for decision in report.excluded:
             print(f"excluded {decision.subject}: {'; '.join(decision.reasons)}")
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--out", required=True, help="selection report JSON path")
     p_select.add_argument("--lambda", dest="lam", type=float, default=0.2,
                           help="trust parameter for the winsorized-mean thresholds")
-    p_select.add_argument("--mode", choices=("aggregated", "pairs"), default="aggregated")
-    p_select.add_argument("--consensus", choices=("or", "and"), default="or")
+    p_select.add_argument("--mode", choices=SELECTION_MODES, default="aggregated")
+    p_select.add_argument("--consensus", choices=CONSENSUS_MODES, default="or")
     p_select.add_argument("--delta-rho", type=float, default=None,
                           help="override the computed correlation threshold")
     p_select.add_argument("--delta-mmd", type=float, default=None,

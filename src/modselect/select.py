@@ -85,8 +85,10 @@ class ThresholdConfig:
             raise ValueError(f"mode must be one of {SELECTION_MODES}")
         for name in ("delta_rho", "delta_mmd"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} override must be finite")
+            if value is not None:
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} override must be finite")
+                object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,9 @@ _REPORT_KEYS = {
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Full record of one selection run: thresholds, decisions, intermediates."""
+    """Full record of one selection run: its configuration, thresholds, decisions, intermediates."""
 
-    mode: str
-    consensus: str
-    lam: float
-    exclude_self: bool
-    interpolate: bool
+    config: ThresholdConfig
     rho_threshold: Threshold
     mmd_threshold: Threshold
     decisions: tuple[Decision, ...] = ()
@@ -177,24 +175,20 @@ class SelectionReport:
             "schema": 1,
             "tool": {"name": "modselect", "version": __version__},
             "config": {
-                "mode": self.mode,
-                "consensus": self.consensus,
-                "lambda": self.lam,
-                "exclude_self_pairs": self.exclude_self,
-                "interpolate_percentiles": self.interpolate,
-                "delta_rho_override": self.rho_threshold.value
-                if self.rho_threshold.source == "override"
-                else None,
-                "delta_mmd_override": self.mmd_threshold.value
-                if self.mmd_threshold.source == "override"
-                else None,
+                "mode": self.config.mode,
+                "consensus": self.config.consensus,
+                "lambda": self.config.lam,
+                "exclude_self_pairs": self.config.exclude_self,
+                "interpolate_percentiles": self.config.interpolate,
+                "delta_rho_override": self.config.delta_rho,
+                "delta_mmd_override": self.config.delta_mmd,
             },
             "thresholds": {
                 "correlation": self.rho_threshold.to_dict(),
                 "discrepancy": self.mmd_threshold.to_dict(),
             },
         }
-        decisions_key, selected_key, excluded_key = _REPORT_KEYS[self.mode]
+        decisions_key, selected_key, excluded_key = _REPORT_KEYS[self.config.mode]
         out[decisions_key] = [d.to_dict() for d in self.decisions]
         out[selected_key] = [_subject_json(s)[1] for s in self.selected]
         out[excluded_key] = [
@@ -216,7 +210,7 @@ class SelectionReport:
 
 def _threshold(values: list[float], override: float | None, config: ThresholdConfig) -> Threshold:
     if override is not None:
-        return Threshold(float(override), "override")
+        return Threshold(override, "override")
     if not values:
         return Threshold(None, "unavailable")
     return Threshold(winsorized_mean(values, config.lam, config.interpolate), "computed")
@@ -269,22 +263,18 @@ def _notes(metrics: AggregatedMetrics) -> list[str]:
 
 
 def _select(
-    mode: str,
+    config: ThresholdConfig,
     subjects: list,
     rho: list[float | None],
     mmd: list[float | None],
     metrics: AggregatedMetrics,
-    config: ThresholdConfig,
+    aggregates: AggregatedMetrics | None = None,
 ) -> SelectionReport:
     """Threshold the known values, apply :func:`_decide` to every subject, note from ``metrics``."""
     rho_thr = _threshold([v for v in rho if v is not None], config.delta_rho, config)
     mmd_thr = _threshold([v for v in mmd if v is not None], config.delta_mmd, config)
     return SelectionReport(
-        mode=mode,
-        consensus=config.consensus,
-        lam=config.lam,
-        exclude_self=config.exclude_self,
-        interpolate=config.interpolate,
+        config=config,
         rho_threshold=rho_thr,
         mmd_threshold=mmd_thr,
         decisions=tuple(
@@ -292,6 +282,7 @@ def _select(
             for s, r, d in zip(subjects, rho, mmd)
         ),
         notes=tuple(_notes(metrics)),
+        aggregates=aggregates,
     )
 
 
@@ -313,8 +304,7 @@ def aggregated_select(
         raise ValueError("selection needs alternatives")
     rho = [metrics.rho[m] for m in names]
     mmd = [metrics.mmd[m] for m in names]
-    report = _select("aggregated", names, rho, mmd, metrics, config)
-    return replace(report, aggregates=metrics)
+    return _select(replace(config, mode="aggregated"), names, rho, mmd, metrics, aggregates=metrics)
 
 
 def pairs_select(
@@ -336,17 +326,17 @@ def pairs_select(
     if discrepancies is not None and discrepancies.names != names:
         raise ValueError("pair matrices cover different modalities")
 
-    def known(matrix: PairMetricMatrix | None, m: str, n: str) -> float | None:
-        if matrix is None or not matrix.is_valid(m, n):
-            return None
-        return matrix.value(m, n)
-
     pair_list = correlations.pairs()
-    rho = [known(correlations, m, n) for m, n in pair_list]
-    mmd = [known(discrepancies, m, n) for m, n in pair_list]
+    upper = np.triu_indices(len(names), 1)  # row-major, the order of pairs()
+
+    def known(matrix: PairMetricMatrix | None) -> list[float | None]:
+        if matrix is None:
+            return [None] * len(pair_list)
+        return [v if ok else None for v, ok in zip(matrix.values[upper].tolist(), matrix.valid[upper].tolist())]
+
     # The notes aggregated mode writes, from each modality's valid pairs with others.
     metrics = aggregated_from_matrices(correlations, discrepancies)
-    return _select("pairs", pair_list, rho, mmd, metrics, config)
+    return _select(replace(config, mode="pairs"), pair_list, known(correlations), known(discrepancies), metrics)
 
 
 def run_modselect(bundle: Bundle, config: ThresholdConfig = ThresholdConfig()) -> SelectionReport:
