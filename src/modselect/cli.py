@@ -38,6 +38,7 @@ def _sweep_manifest(args) -> tuple[AccuracyTable, dict, list[str]]:
 def cmd_evaluate(args) -> int:
     table, digests, strategies = _sweep_manifest(args)
     base = Path(args.out)
+    json_path, csv_path = (base.with_name(base.name + suffix) for suffix in (".json", ".csv"))
     payload = {
         "schema": 1,
         "tool": _tool_block(),
@@ -50,12 +51,12 @@ def cmd_evaluate(args) -> int:
         "scale": "fraction",
         "table": table.to_dict(),
     }
-    dataio.dump_json(payload, base.with_suffix(".json"))
-    dataio.write_table_csv(base.with_suffix(".csv"), table)
+    dataio.dump_json(payload, json_path)
+    dataio.write_table_csv(csv_path, table)
     print(f"strategy-averaged mPCA [%] over {len(table.values)} combinations:")
     for combo, mean in zip(table.combinations(), (100.0 * table.column()).tolist()):
         print(f"  {'+'.join(combo):<30s} {mean:6.2f}")
-    print(f"wrote {base.with_suffix('.json')} and {base.with_suffix('.csv')}")
+    print(f"wrote {json_path} and {csv_path}")
     return 0
 
 

@@ -170,18 +170,19 @@ def mmd_matrix(bundle: Bundle) -> PairMetricMatrix:
 def aggregate(pairs: PairMetricMatrix, modality: str, exclude_self: bool = True) -> float:
     """Average a modality's pair metric over its valid partners.
 
-    With ``exclude_self`` (the default) the diagonal is omitted and the
-    divisor is the number of valid partners. With ``exclude_self=False`` the
-    diagonal self-pair participates and the divisor is the number of valid
-    entries in the row including it, which equals the modality count on a
-    fully valid matrix.
+    A partner is another modality with a valid pair; under either self-pair
+    convention a modality without one raises. With ``exclude_self`` (the
+    default) the diagonal is omitted and the divisor is the number of valid
+    partners. With ``exclude_self=False`` the diagonal self-pair joins the
+    mean and the divisor is the number of valid entries in the row including
+    it, which equals the modality count on a fully valid matrix.
     """
     i = pairs.index(modality)
     mask = pairs.valid[i].copy()
-    if exclude_self:
-        mask[i] = False
+    mask[i] = False
     if not mask.any():
         raise ValueError(f"modality {modality!r} has no comparable partners")
+    mask[i] = not exclude_self and pairs.valid[i, i]
     return float(pairs.values[i][mask].mean())
 
 

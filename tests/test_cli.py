@@ -92,6 +92,14 @@ def test_evaluate_writes_table_and_is_deterministic(bundle_dir, tmp_path):
     assert payload["inputs"]  # digests recorded
 
 
+def test_evaluate_appends_its_suffixes_to_the_out_base(bundle_dir, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    for version in ("v1", "v2"):
+        assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", runs / f"run.{version}") == 0
+    assert f"wrote {runs / 'run.v2.json'} and {runs / 'run.v2.csv'}" in capsys.readouterr().out
+    assert sorted(p.name for p in runs.iterdir()) == ["run.v1.csv", "run.v1.json", "run.v2.csv", "run.v2.json"]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "select"])
 def test_a_missing_manifest_is_named(tmp_path, capsys, command):
     manifest = tmp_path / "missing.json"

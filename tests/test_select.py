@@ -355,6 +355,23 @@ class TestRunModselect:
         pairs = run_modselect(flat_bundle, ThresholdConfig(mode="pairs")).to_dict()
         assert "aggregated" in good["intermediate"] and "aggregated" not in pairs["intermediate"]
 
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_a_modality_whose_only_correlation_is_with_itself_has_none(self, exclude_self):
+        # good1 keeps its scores; the four others get uniform ones. Its
+        # self-pair is its only defined correlation, which is no partner.
+        bundle, _ = generate(default_scenario(seed=3, samples=300))
+        flat = np.full(bundle.modalities[0].scores.values.shape, 1 / bundle.n_classes)
+        records = [bundle.modalities[0]] + [
+            replace(rec, scores=ScoreMatrix(flat, bundle.class_names)) for rec in bundle.modalities[1:]
+        ]
+        flat_bundle = replace(bundle, modalities=tuple(records))
+        aggregated = run_modselect(flat_bundle, ThresholdConfig(exclude_self=exclude_self))
+        pairs = run_modselect(flat_bundle, ThresholdConfig(mode="pairs", exclude_self=exclude_self))
+        assert aggregated.notes == pairs.notes
+        assert "modality 'good1' has no comparable partners" in " ".join(aggregated.notes)
+        good1 = {d.subject: d for d in aggregated.decisions}["good1"]
+        assert (good1.rho, good1.basis) == (None, "discrepancy-only")
+
     def test_needs_two_modalities(self, rng):
         bundle = make_bundle([simplex_rows(rng, 10, 3)])
         with pytest.raises(ValueError, match="selection needs alternatives"):
