@@ -44,7 +44,7 @@ from .core import (
     json_names,
     validate_bundle,
 )
-from .encode import Box, DetectionSet, Keypoints
+from .encode import CLASS_INDEX_RULE, CONFIDENCE_RULE, Box, DetectionSet, Keypoints
 
 
 def _run(fn, share) -> list:
@@ -504,7 +504,12 @@ def write_keypoints_csv(path, keypoints: Keypoints) -> None:
 
 
 def read_keypoints_csv(path) -> Keypoints:
-    _, _, joints = _csv_rows(path, ["x", "y", "confidence"], lambda row: Keypoints([_finite(row)]).joints[0])
+    def joint(row: list[str]) -> list[float]:  # Keypoints' rule, checked where the line is known
+        if not 0.0 <= (values := _finite(row))[2] <= 1.0:
+            raise ValueError(CONFIDENCE_RULE)
+        return values
+
+    _, _, joints = _csv_rows(path, ["x", "y", "confidence"], joint)
     return Keypoints(np.array(joints, dtype=np.float64).reshape(-1, 3))
 
 
@@ -520,7 +525,8 @@ def read_detections_csv(path) -> DetectionSet:
             people.append(box)
         elif row[0] == "object":
             objects.append((int(row[1]), box))
-            DetectionSet(box, objects[-1:])  # checks the class index where the line is known
+            if objects[-1][0] < 0:  # DetectionSet's rule, checked where the line is known
+                raise ValueError(CLASS_INDEX_RULE)
         else:
             raise ValueError("role must be 'person' or 'object'")
 

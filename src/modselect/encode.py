@@ -19,6 +19,9 @@ DEFAULT_SKELETON: tuple[tuple[int, int], ...] = (
 
 DEFAULT_DETECTION_CLASSES = 80
 
+CONFIDENCE_RULE = "joint confidences must lie in [0, 1]"
+CLASS_INDEX_RULE = "object class indices must be nonnegative"
+
 
 @dataclass(frozen=True, eq=False)
 class Keypoints:
@@ -32,7 +35,7 @@ class Keypoints:
             raise ValueError("joint coordinates must be finite")
         conf = arr[:, 2]
         if arr.size and ((conf < 0.0) | (conf > 1.0) | ~np.isfinite(conf)).any():
-            raise ValueError("joint confidences must lie in [0, 1]")
+            raise ValueError(CONFIDENCE_RULE)
         arr.setflags(write=False)
         object.__setattr__(self, "joints", arr)
 
@@ -71,7 +74,7 @@ class DetectionSet:
         objects = tuple((int(c), b) for c, b in self.objects)
         for class_index, _ in objects:
             if class_index < 0:
-                raise ValueError("object class indices must be nonnegative")
+                raise ValueError(CLASS_INDEX_RULE)
         object.__setattr__(self, "objects", objects)
 
 

@@ -85,10 +85,9 @@ class ThresholdConfig:
             raise ValueError(f"mode must be one of {SELECTION_MODES}")
         for name in ("delta_rho", "delta_mmd"):
             value = getattr(self, name)
-            if value is not None:
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} override must be finite")
-                object.__setattr__(self, name, float(value))
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} override must be finite")
+            object.__setattr__(self, name, None if value is None else float(value))
 
 
 @dataclass(frozen=True)
@@ -196,13 +195,9 @@ class SelectionReport:
             for d in self.excluded
         ]
         out["notes"] = list(self.notes)
-        intermediate = {}
-        if self.correlations is not None:
-            intermediate["pair_correlations"] = self.correlations.to_dict()
-        if self.discrepancies is not None:
-            intermediate["pair_discrepancies"] = self.discrepancies.to_dict()
-        if self.aggregates is not None:
-            intermediate["aggregated"] = self.aggregates.to_dict()
+        parts = {"pair_correlations": self.correlations, "pair_discrepancies": self.discrepancies,
+                 "aggregated": self.aggregates}
+        intermediate = {key: part.to_dict() for key, part in parts.items() if part is not None}
         if intermediate:
             out["intermediate"] = intermediate
         return out
