@@ -19,6 +19,7 @@ DEFAULT_SKELETON: tuple[tuple[int, int], ...] = (
 
 DEFAULT_DETECTION_CLASSES = 80
 
+# Input rules, also checked by the CSV readers, which name the offending line.
 CONFIDENCE_RULE = "joint confidences must lie in [0, 1]"
 CLASS_INDEX_RULE = "object class indices must be nonnegative"
 
