@@ -54,7 +54,7 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        if not all(np.isfinite([self.x_min, self.y_min, self.x_max, self.y_max])):
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
             raise ValueError("box coordinates must be finite")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("box extent must be nonnegative")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import AccuracyTable, Bundle, LabelVector, as_matrix
+from .parallel import _each
 
 
 class FusionStrategy(enum.Enum):
@@ -71,6 +73,19 @@ _FOLDS = {
     FusionStrategy.MAXIMUM: (np.asarray, np.maximum),
     FusionStrategy.BORDA_COUNT: (_borda_points, np.add),
 }
+# The rules whose members' terms are the scores themselves.
+_RAW = {s for s in FusionStrategy if s not in _FOLDS or _FOLDS[s][0] is np.asarray}
+# The rules from the costliest sweep walk to the cheapest, so that dealing
+# them out in turn gives each CPU a like share: median, then Borda, then
+# the squares' and the plain folds.
+_COST_ORDER = (
+    FusionStrategy.MEDIAN,
+    FusionStrategy.BORDA_COUNT,
+    FusionStrategy.SQUARED_SUM,
+    FusionStrategy.PRODUCT,
+    FusionStrategy.SUM,
+    FusionStrategy.MAXIMUM,
+)
 
 
 @functools.cache
@@ -241,6 +256,13 @@ def sweep(
     is right when its true class reaches the column maximum and no class
     before it ties that maximum, which is argmax's rule; a combination with
     a NaN maximum is scored by argmax itself.
+    The terms are built in the calling process. The rules' walks are
+    independent, so they are dealt out, costliest first, over the CPUs the
+    process may use through ``parallel._each``: on two CPUs median, sqsum
+    and sum run here and Borda, product and max in one forked child, which
+    sends back one list of accuracies per rule. On one CPU (``taskset -c
+    0``) the rules run one after another in this process. Either way the
+    table holds the same bits.
     More than ``MAX_DEFAULT_UNIVERSE`` modalities need ``allow_large=True``.
     """
     if bundle.labels is None:
@@ -282,40 +304,37 @@ def sweep(
         np.logical_or.reduce(ties, axis=0, out=tied)  # a class before it does too
         return _mpca(np.greater(right, tied, out=right), truth, occurrences, present)  # right and not tied
 
-    per_strategy = {}
-
-    def extend(strategy: FusionStrategy, step, combo: tuple[int, ...], fused: np.ndarray) -> None:
-        for longer in (combo + (last,) for last in range(combo[-1] + 1, n)):
-            scores = step(fused, longer)
-            per_strategy[(tuple(names[i] for i in longer), strategy.value)] = accuracy(scores)
-            extend(strategy, step, longer, scores)
-
-    # A rule writes into output matrices allocated once for its walk, after
-    # its terms are built, so that the terms' temporaries never sit on top of
-    # them: median sorts k members in k + 1 of them, and a fold keeps the
-    # fused scores of a combination of k members in rows[k - 2] while its
-    # extensions are walked. The folds and the network never write into
-    # their inputs.
+    # A rule writes into output matrices allocated once for its walk: median
+    # sorts k members in k + 1 of them, and a fold keeps the fused scores of
+    # a combination of k members in rows[k - 2] while its extensions are
+    # walked. The folds and the network never write into their inputs.
     shape = (n_classes, n_samples)
 
-    def walk(strategy: FusionStrategy, terms: list[np.ndarray]) -> None:
+    def walk(strategy: FusionStrategy, terms: list[np.ndarray]) -> list[float]:
         if strategy is FusionStrategy.MEDIAN:
             rows = [np.empty(shape) for _ in range(n + 1)]
-            step = lambda _, combo: _median([terms[i] for i in combo], rows)  # noqa: E731
-        else:
-            fold = _FOLDS[strategy][1]
-            rows = [np.empty(shape) for _ in range(n - 1)]
-            step = lambda fused, combo: fold(fused, terms[combo[-1]], out=rows[len(combo) - 2])  # noqa: E731
-        for i in range(n - 1):  # the last modality has no later one to extend it
-            extend(strategy, step, (i,), terms[i])
+            return [accuracy(_median([terms[i] for i in combo], rows)) for combo in combos]
+        fold, rows, accuracies = _FOLDS[strategy][1], [np.empty(shape) for _ in range(n - 1)], []
+        for combo in combos:
+            prefix = terms[combo[0]] if len(combo) == 2 else rows[len(combo) - 3]
+            accuracies.append(accuracy(fold(prefix, terms[combo[-1]], out=rows[len(combo) - 2])))
+        return accuracies
 
-    raw = [s for s in strategy_list if s is FusionStrategy.MEDIAN or _FOLDS[s][0] is np.asarray]
-    for strategy in strategy_list:  # squares and Borda points first, before the scores' copies exist
-        if strategy not in raw:  # a member's term is its one-matrix fusion
-            walk(strategy, [np.ascontiguousarray(fuse(strategy, [m]).T) for m in matrices])
+    # Every rule's terms are built here, before any fork, so that the calls
+    # to fuse are made in the calling process: the squares and the Borda
+    # points first, before the scores' copies exist.
+    terms = {s: [np.ascontiguousarray(fuse(s, [m]).T) for m in matrices] for s in strategy_list if s not in _RAW}
     columns = [np.ascontiguousarray(m.T) for m in matrices]
-    for strategy in raw:
-        walk(strategy, columns)
+    rules = sorted(strategy_list, key=_COST_ORDER.index)
+    # Depth first, which is lexicographic order: a combination comes after
+    # its prefix, and the combinations in between are longer than the
+    # prefix, so the prefix's fused scores are still in their row.
+    combos = sorted(c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
+    keys = [tuple(names[i] for i in c) for c in combos]
+    per_strategy = {}
+    if combos:  # one modality has nothing to fuse: no walk, no fork
+        for strategy, accuracies in zip(rules, _each(walk, [(s, terms.get(s, columns)) for s in rules])):
+            per_strategy.update(zip([(key, strategy.value) for key in keys], accuracies))
     for name, acc in zip(names, [first] + [accuracy(m) for m in columns[1:]]):
         per_strategy.update({((name,), s.value): acc for s in strategy_list})
     return AccuracyTable.from_per_strategy(names, [s.value for s in strategy_list], per_strategy)

@@ -7,8 +7,9 @@ digest. Update a digest only when the file format changes on purpose.
 Commands run from inside the temporary directory with relative paths, so
 the paths recorded in the JSON reports do not depend on where it lives.
 Each test runs twice: on the CPUs the process may use, where bundle files
-are written and read in forked processes, and forced onto one CPU, where
-they are not. Both runs check the same digests.
+are written and read, and the sweep's rules are run, in forked processes,
+and forced onto one CPU, where nothing is forked. Both runs check the same
+digests.
 """
 
 import hashlib

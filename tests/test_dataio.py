@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modselect import AccuracyTable, LabelVector, contribution_report, dataio, sweep
+from modselect import AccuracyTable, LabelVector, contribution_report, dataio, parallel, sweep
 from modselect.dataio import (
     dump_json,
     load_bundle,
@@ -534,12 +534,12 @@ def test_each_returns_the_serial_results_in_item_order(cpus, n_cpus):
     pid = os.getpid()
     for n_items in range(10):
         items = [(i,) for i in range(n_items)]
-        assert list(dataio._each(square, items)) == [square(*item) for item in items]
+        assert list(parallel._each(square, items)) == [square(*item) for item in items]
         assert_no_children(pid)
-        workers = set(dataio._each(lambda i: os.getpid(), items))
+        workers = set(parallel._each(lambda i: os.getpid(), items))
         assert len(workers) == min(n_items, n_cpus)
         assert_no_children(pid)
-        results = dataio._each(square, items)
+        results = parallel._each(square, items)
         if n_items:
             assert next(results) == square(0)
         results.close()
@@ -559,7 +559,7 @@ def test_each_raises_a_failed_item_s_exception_when_it_is_reached(cpus, n_cpus):
     for bad in range(6):  # every share, the caller's and each child's, fails once
         got = []
         with pytest.raises(LookupError, match=f"^item {bad} failed$"):
-            for value in dataio._each(fn, [(i,) for i in range(6)]):
+            for value in parallel._each(fn, [(i,) for i in range(6)]):
                 got.append(value)
         assert got == list(range(bad))
         assert_no_children(pid)
@@ -576,10 +576,10 @@ def test_each_reruns_the_share_of_a_child_that_sends_nothing(cpus, n_cpus):
         return square(i)
 
     items = [(i,) for i in range(7)]
-    assert list(dataio._each(dies_in_a_child, items)) == [square(*item) for item in items]
+    assert list(parallel._each(dies_in_a_child, items)) == [square(*item) for item in items]
     assert_no_children(pid)
     # A result that does not pickle is sent by no child either.
-    assert [f() for f in dataio._each(lambda i: (lambda: i), items)] == list(range(7))
+    assert [f() for f in parallel._each(lambda i: (lambda: i), items)] == list(range(7))
     assert_no_children(pid)
 
 

@@ -27,6 +27,16 @@ def test_box_validation():
     with pytest.raises(ValueError, match="extent"):
         Box(5.0, 0.0, 1.0, 2.0)
     assert Box(0.0, 0.0, 4.0, 2.0).center == (2.0, 1.0)
+    assert Box(np.float64(1), 2, np.int64(3), 4.5).center == (2.0, 3.25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+@pytest.mark.parametrize("at", range(4))
+def test_box_rejects_a_non_finite_coordinate(at, bad):
+    coordinates = [0.0, 0.0, 1.0, 1.0]
+    coordinates[at] = bad
+    with pytest.raises(ValueError, match="^box coordinates must be finite$"):
+        Box(*coordinates)
 
 
 class TestHeatmap:

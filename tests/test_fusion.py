@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import os
 import statistics
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from modselect import ALL_STRATEGIES, FusionStrategy, fuse, mpca, predict, sweep
+from modselect import ALL_STRATEGIES, FusionStrategy, fusion, fuse, mpca, predict, sweep
 from modselect.fusion import _median_network, parse_strategies
 
 from conftest import make_bundle, simplex_rows
@@ -305,7 +307,7 @@ def test_sweep_with_an_absent_class_equals_one_shot_mpca():
             assert table.values[row, col] == mpca(predict(fused).values, labels, 4)
 
 
-def test_sweep_over_nan_and_inf_scores_equals_one_shot_fusion():
+def _nan_and_inf_bundle():
     # An unvalidated bundle, built directly. A NaN at a sample's true class
     # comes first, so argmax picks it and scores the sample right; other
     # rows hold a NaN before the true class, +inf ties and rows of -inf.
@@ -322,7 +324,12 @@ def test_sweep_over_nan_and_inf_scores_equals_one_shot_fusion():
         x[rows + 3, 1] = -np.inf
         x[rows + 4] = -np.inf
         scores.append(x)
-    bundle = make_bundle(scores, labels=labels)
+    return make_bundle(scores, labels=labels)
+
+
+def test_sweep_over_nan_and_inf_scores_equals_one_shot_fusion():
+    bundle = _nan_and_inf_bundle()
+    labels, n_classes = bundle.labels.values, bundle.n_classes
     with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make NaN
         table = sweep(bundle)
         want = np.empty(table.values.shape)
@@ -338,6 +345,84 @@ def test_back_to_back_sweeps_are_bit_identical(rng):
     bundle = _labelled_bundle(rng, n_modalities=6, n_samples=50)
     first, second = sweep(bundle), sweep(bundle)
     assert first.values.tobytes() == second.values.tobytes()
+
+
+# --- the sweep's rules over forked processes -----------------------------
+
+
+SWEPT_BUNDLES = {
+    "1 modality": lambda: _labelled_bundle(np.random.default_rng(1), n_modalities=1),
+    "2 modalities": lambda: make_bundle(
+        [_tied_scores(np.random.default_rng(2), 30, 3) for _ in range(2)], labels=np.arange(30) % 3
+    ),
+    "5 modalities": lambda: make_bundle(
+        [_tied_scores(np.random.default_rng(5), 40, 5) for _ in range(5)], labels=np.arange(40) % 5
+    ),
+    "nan and inf": _nan_and_inf_bundle,
+}
+
+
+@pytest.mark.parametrize("spec", ["median", "borda,sum", "sum,sqsum,product,max,median,borda"])
+@pytest.mark.parametrize("case", sorted(SWEPT_BUNDLES))
+def test_sweep_on_every_cpu_count_writes_the_one_cpu_bits(cpus, case, spec):
+    bundle, strategies = SWEPT_BUNDLES[case](), parse_strategies(spec)
+    tables = []
+    for n_cpus in (1, 2, 3, 4):
+        cpus(n_cpus)
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make NaN
+            table = sweep(bundle, strategies)
+        tables.append((table.strategies, [v.hex() for v in table.values.ravel().tolist()]))
+    assert tables[0][0] == tuple(s.value for s in strategies)
+    assert tables[1:] == tables[:1] * 3
+
+
+def test_every_fuse_call_of_a_sweep_runs_in_the_caller(cpus, monkeypatch, tmp_path, rng):
+    # A span opened around fuse is seen only in the process that opens it,
+    # so the sweep builds every rule's terms before it forks.
+    cpus(2)
+    log, forks, fork = tmp_path / "fuse.log", [], os.fork
+
+    def logged_fuse(strategy, scores):
+        with open(log, "a") as fh:  # a child's calls reach the file too
+            fh.write(f"{os.getpid()} {strategy.value}\n")
+        return fuse(strategy, scores)
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(fusion, "fuse", logged_fuse)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    bundle = _labelled_bundle(rng, n_modalities=4)
+    sweep(bundle)
+    assert forks == [1]  # Borda, product and max ran in one child
+    calls = sorted(line.split() for line in log.read_text().splitlines())
+    assert calls == sorted([[str(os.getpid()), "sqsum"], [str(os.getpid()), "borda"]] * 4)
+
+
+def test_a_one_modality_sweep_forks_nothing(cpus, monkeypatch, rng):
+    cpus(2)
+
+    def no_fork():
+        raise AssertionError("a sweep with nothing to fuse forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    bundle = _labelled_bundle(rng, n_modalities=1)
+    want = mpca(predict(bundle.modalities[0].scores).values, bundle.labels.values, bundle.n_classes)
+    assert sweep(bundle).values.tolist() == [[want] * 6]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_sweep_leaves_no_cyclic_garbage(cpus, n_cpus, rng):
+    cpus(n_cpus)
+    bundle = _labelled_bundle(rng, n_modalities=5)
+    gc.collect()
+    gc.disable()
+    try:
+        sweep(bundle)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", range(1, 10))
