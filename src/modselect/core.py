@@ -357,6 +357,57 @@ def _fill(universe: tuple[str, ...], n_columns: int, n_cells: int, entries: Iter
     return values
 
 
+def _dense(universe: tuple[str, ...], strategies: tuple[str, ...], entries: list) -> np.ndarray | None:
+    """The values of stored ``entries`` that fill every cell once, in one pass; else None.
+
+    The entries must number 2^M - 1, each an object whose ``combination`` is
+    a nonempty list of distinct known names, no two entries alike. Each
+    ``strategies`` object must list ``strategies`` in order, or be absent
+    where there are none; every ``averaged`` value and cell must be a finite
+    int or float. None leaves the input, and its error, to the per-entry loop.
+    """
+    if not entries or len(entries) != (1 << len(universe)) - 1:  # counted before the layout, which grows as 2^M
+        return None
+    if len(set(universe)) != len(universe) or set(map(type, entries)) != {dict}:
+        return None
+    try:
+        combos = [e["combination"] for e in entries]
+        numbers = [e["averaged"] for e in entries]
+        cells = [e["strategies"] for e in entries] if strategies else ()
+    except KeyError:
+        return None
+    if set(map(type, combos)) != {list}:
+        return None
+    if strategies:
+        if set(map(type, cells)) != {dict} or set(map(tuple, cells)) != {strategies}:
+            return None
+        numbers.extend(itertools.chain.from_iterable(map(dict.values, cells)))
+    elif any("strategies" in e for e in entries):  # cells the loop would check
+        return None
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    bit, _, rows = _layout(universe)
+    try:
+        masks = [sum(map(bit.__getitem__, c)) for c in combos]
+    except (KeyError, TypeError):  # an unknown or unhashable name
+        return None
+    lengths = list(map(len, combos))
+    # A repeated name carries into another bit; an empty combination has mask 0.
+    if list(map(int.bit_count, masks)) != lengths or 0 in lengths or len(set(masks)) < len(masks):
+        return None
+    try:
+        array = np.array(numbers, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(array).all():
+        return None
+    width = max(1, len(strategies))
+    values = np.empty((len(entries), width))
+    # The cells are the last entries x width numbers: the averages themselves where there are no strategies.
+    values[rows[masks]] = array[-len(entries) * width :].reshape(-1, width)
+    return values
+
+
 def _columns(strategies: tuple[str, ...], names: Iterable) -> dict[str, int]:
     """Column of each strategy; ``names`` are the strategy names the cells give."""
     if not strategies:
@@ -522,7 +573,12 @@ class AccuracyTable:
         return 100.0 * self.value(combo, strategy)
 
     def with_without(self, modality: str) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of C + (modality,) and of C, for each nonempty C without it, in table order."""
+        """Rows of C + (modality,) and of C, for each nonempty C without it, in table order.
+
+        A table of one modality has no such C, and raises ``ValueError``.
+        """
+        if len(self.modalities) == 1:
+            raise ValueError(f"no combinations without {modality!r}: the table has one modality")
         bit, masks, rows = _layout(self.modalities)
         without = np.flatnonzero(masks & bit[modality] == 0)
         return rows[masks[without] | bit[modality]], without
@@ -548,15 +604,22 @@ class AccuracyTable:
     def from_dict(cls, payload: Mapping) -> "AccuracyTable":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it.
 
-        Each entry fills one row. Its ``averaged`` value must be a number but
-        is not compared with the mean of its strategies.
+        Each entry fills one row. Its ``averaged`` value must be a finite
+        number but is not compared with the mean of its strategies. Entries
+        that fill every cell once, as :meth:`to_dict` writes them, are read
+        in one pass (:func:`_dense`); any others go through a per-entry
+        loop, which names the first fault.
         """
         modalities = json_names(payload, "modalities", "accuracy table")
         strategies = json_names(payload, "strategies", "accuracy table", ())
         note = json_field(payload, "note", "accuracy table", str, "")
+        entries = json_field(payload, "entries", "accuracy table", list)
+        values = _dense(modalities, strategies, entries)
+        if values is not None:
+            return cls(modalities, strategies, values, note)
         averaged: dict[tuple, float] = {}
         given: list[tuple[tuple, list[float]]] = []  # per entry, strategy names and values
-        for i, row in enumerate(json_field(payload, "entries", "accuracy table", list)):
+        for i, row in enumerate(entries):
             where = f"accuracy table entry {i}"
             combo = tuple(json_field(row, "combination", where, list))
             try:

@@ -4,7 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import AccuracyTable
+
+
+def _mean_differences(views: np.ndarray, with_m: np.ndarray, without_m: np.ndarray) -> np.ndarray:
+    """Per column of ``views`` (combinations x views), the mean of its rows ``with_m`` minus ``without_m``."""
+    diffs = views[with_m] - views[without_m]
+    # Added left to right in table order from +0.0, on every Python version:
+    # np.sum adds pairwise, and builtin sum compensates since Python 3.12;
+    # either changes the last digit of some contributions.
+    diffs[0] += 0.0
+    return np.add.accumulate(diffs)[-1] / len(diffs)
 
 
 def contribution(table: AccuracyTable, modality: str, strategy: str | None = None) -> float:
@@ -17,14 +29,8 @@ def contribution(table: AccuracyTable, modality: str, strategy: str | None = Non
     """
     if modality not in table.modalities:
         raise KeyError(f"unknown modality {modality!r}")
-    if len(table.modalities) == 1:
-        raise ValueError("no combinations without m")
-    accuracy = table.column(strategy)
-    with_m, without_m = table.with_without(modality)
-    # Python's sum adds left to right in table order; np.sum adds pairwise,
-    # which changes the last digit of some contributions.
-    diffs = (accuracy[with_m] - accuracy[without_m]).tolist()
-    return sum(diffs) / len(diffs)
+    rows = table.with_without(modality)
+    return float(_mean_differences(table.column(strategy)[:, None], *rows)[0])
 
 
 def positive_modalities(table: AccuracyTable) -> frozenset[str]:
@@ -55,10 +61,10 @@ class ContributionReport:
 
 def contribution_report(table: AccuracyTable) -> ContributionReport:
     """Contributions for every modality, averaged and per strategy when available."""
-    averaged = {m: 100.0 * contribution(table, m) for m in table.modalities}
-    per_strategy = {
-        s: {m: 100.0 * contribution(table, m, s) for m in table.modalities}
-        for s in table.strategies
-    }
+    # One view per column: the averaged one, then each strategy's.
+    views = np.column_stack((table.column(), table.values)) if table.strategies else table.column()[:, None]
+    percent = {m: (100.0 * _mean_differences(views, *table.with_without(m))).tolist() for m in table.modalities}
+    averaged = {m: p[0] for m, p in percent.items()}
+    per_strategy = {s: {m: p[k] for m, p in percent.items()} for k, s in enumerate(table.strategies, 1)}
     positive = frozenset(m for m, f in averaged.items() if f > 0.0)
     return ContributionReport(table.modalities, averaged, per_strategy, positive)

@@ -156,6 +156,14 @@ def test_contribution_table_must_be_a_json_object(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_contribution_on_a_one_modality_table_names_the_modality(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"modalities": ["a"], "entries": [{"combination": ["a"], "averaged": 0.5}]}))
+    assert run_cli("contribution", "--table", table, "--out", tmp_path / "c.json") == 1
+    assert capsys.readouterr().err == "error: no combinations without 'a': the table has one modality\n"
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_contribution_source_exclusivity(tmp_path, capsys):
     assert run_cli("contribution", "--out", tmp_path / "x.json") == 1
     assert "exactly one" in capsys.readouterr().err

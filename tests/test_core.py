@@ -17,6 +17,7 @@ from modselect import (
     ScoreMatrix,
     validate_bundle,
 )
+from modselect import core
 from modselect.core import all_combinations
 
 from conftest import make_bundle, simplex_rows
@@ -277,9 +278,20 @@ class TestAccuracyTable:
         with pytest.raises(ValueError, match=f"has no '{field}' field"):
             AccuracyTable.from_dict(payload)
 
-    def test_short_table_over_many_names_rejected_by_count(self):
+    def test_short_table_over_many_names_rejected_by_count(self, monkeypatch):
         # 40 names stand for 2^40 - 1 combinations; the entry count alone
         # shows the table is incomplete, before any combination is laid out.
+        # Laying them out would exhaust memory, so the guards fail this test
+        # instead of letting the whole run be killed.
+        def at_most_20_names(function):
+            def guarded(universe):
+                assert len(universe) <= 20, f"{function.__name__} given {len(universe)} names"
+                return function(universe)
+
+            return guarded
+
+        for name in ("_layout", "all_combinations"):
+            monkeypatch.setattr(core, name, at_most_20_names(getattr(core, name)))
         payload = {"modalities": [f"m{i}" for i in range(40)], "entries": []}
         start = time.perf_counter()
         want = r"incomplete accuracy table: 0 values given, 1099511627775 combinations"
@@ -425,3 +437,74 @@ def test_from_dict_cells_naming_one_strategy_twice_are_duplicates():
     }
     want = ("ValueError", "duplicate entry for combination ['a']")
     assert load(AccuracyTable.from_dict, payload) == load(per_cell_from_dict, payload) == want
+
+
+def stored(strategies):
+    """A JSON round-tripped to_dict payload over a, b and c."""
+    width = max(1, len(strategies))
+    values = np.linspace(0.1, 0.9, 7 * width).reshape(7, width)
+    values[:3] = values[:3, :1]  # singletons agree across strategies
+    return json.loads(json.dumps(AccuracyTable(("a", "b", "c"), strategies, values, "n").to_dict()))
+
+
+@pytest.mark.parametrize("strategies", [(), ("sum", "max")])
+def test_a_stored_table_is_read_in_one_pass(monkeypatch, strategies):
+    payload = stored(strategies)
+    want = load(per_cell_from_dict, payload)
+    monkeypatch.setattr(core, "_fill", lambda *args: pytest.fail("the per-entry loop ran"))
+    assert load(AccuracyTable.from_dict, payload) == want
+    assert want[3] == (7, max(1, len(strategies)))
+
+
+def _set_cell(value, entry=4, strategy="max"):
+    def damage(payload):
+        payload["entries"][entry]["strategies"][strategy] = value
+
+    return damage
+
+
+def _set_combination(names, entry=4):
+    def damage(payload):
+        payload["entries"][entry]["combination"] = names
+
+    return damage
+
+
+def _reorder_cells(payload):
+    cells = payload["entries"][5]["strategies"]
+    payload["entries"][5]["strategies"] = dict(reversed(cells.items()))
+
+
+def _drop_strategy_list(payload):
+    # The cells of a table without strategies are still checked, though unused.
+    payload["strategies"] = []
+    payload["entries"][4]["strategies"]["max"] = "x"
+
+
+# (damage, whether the one-pass read still takes the table): ints and -0.0
+# are finite JSON numbers, so they stay on it; the rest leave the table to
+# the per-entry loop.
+DAMAGES = {
+    "cells out of order": (_reorder_cells, False),
+    "int 0 cell": (_set_cell(0), True),
+    "int 1 cell": (_set_cell(1), True),
+    "int beyond the float range": (_set_cell(10**400), False),
+    "bool cell": (_set_cell(True), False),
+    "string cell": (_set_cell("0.5"), False),
+    "-0.0 cell": (_set_cell(-0.0), True),
+    "duplicate combination": (_set_combination(["b", "a"], entry=5), False),
+    "unknown name": (_set_combination(["a", "z"]), False),
+    "cells without a strategy list": (_drop_strategy_list, False),
+}
+
+
+@pytest.mark.parametrize("kind", DAMAGES)
+def test_a_damaged_stored_table_reads_as_the_per_cell_build(monkeypatch, kind):
+    damage, one_pass = DAMAGES[kind]
+    payload = stored(("sum", "max"))
+    damage(payload)
+    reads = []
+    dense = core._dense
+    monkeypatch.setattr(core, "_dense", lambda *args: reads.append(dense(*args)) or reads[-1])
+    assert load(AccuracyTable.from_dict, payload) == load(per_cell_from_dict, payload)
+    assert [values is not None for values in reads] == [one_pass]

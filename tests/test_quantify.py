@@ -66,8 +66,9 @@ def test_fixture_positive_sets():
 
 
 # Every fixture contribution in percentage points, to the last digit. The
-# with-without differences are summed left to right in table order; a sum
-# in any other order (np.sum is pairwise) changes some of these digits.
+# with-without differences are added left to right in table order; any
+# other sum (np.sum is pairwise, and builtin sum compensates since Python
+# 3.12) changes some of these digits.
 EXACT_FIXTURE_CONTRIBUTIONS = {
     "sims4action": {
         "H": "12.663999999999998",
@@ -132,8 +133,10 @@ def test_bruteforce_equivalence(n, seed):
 
 def test_single_modality_universe_errors():
     table = AccuracyTable.from_averaged(("solo",), {("solo",): 0.9})
-    with pytest.raises(ValueError, match="no combinations without m"):
+    with pytest.raises(ValueError, match="^no combinations without 'solo': the table has one modality$"):
         contribution(table, "solo")
+    with pytest.raises(ValueError, match="^no combinations without 'solo': the table has one modality$"):
+        contribution_report(table)
 
 
 def test_unknown_modality():
@@ -189,3 +192,67 @@ def test_report_on_averaged_only_table():
     report = contribution_report(load_fixture("toyota"))
     assert report.per_strategy == {}
     assert report.positive == {"H", "L", "OF", "YOLO"}
+
+
+def left_to_right_contribution(table, modality, strategy=None):
+    """The with-without mean with its differences added one at a time from 0.0, in table order."""
+    column = table.column(strategy)
+    with_m, without_m = table.with_without(modality)
+    acc = 0.0
+    for d in (column[with_m] - column[without_m]).tolist():
+        acc += d
+    return acc / len(with_m)
+
+
+def per_strategy_table(rng, n_modalities, strategies=("sum", "max", "median")):
+    names = tuple(f"m{i}" for i in range(n_modalities))
+    values = rng.random(((1 << n_modalities) - 1, len(strategies)))
+    values[:n_modalities] = values[:n_modalities, :1]  # singletons agree across strategies
+    return AccuracyTable(names, strategies, values)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_contribution_adds_left_to_right_on_every_python(n):
+    # Builtin sum compensates since Python 3.12, so a contribution summed by it
+    # differs in the last digit between Python versions on some of these tables.
+    rng = np.random.default_rng(n)
+    for table in (random_table(rng, n), per_strategy_table(rng, n)):
+        for strategy in (None, *table.strategies):
+            for m in table.modalities:
+                want = left_to_right_contribution(table, m, strategy)
+                assert contribution(table, m, strategy).hex() == want.hex()
+
+
+def report_hex(report):
+    return {"": {m: f.hex() for m, f in report.averaged.items()}} | {
+        s: {m: f.hex() for m, f in vals.items()} for s, vals in report.per_strategy.items()
+    }
+
+
+def per_view_hex(table):
+    views = {"": None} | {s: s for s in table.strategies}
+    return {k: {m: (100.0 * contribution(table, m, s)).hex() for m in table.modalities} for k, s in views.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_report_is_bit_equal_to_per_view_contributions(n):
+    rng = np.random.default_rng(100 + n)
+    for table in (random_table(rng, n), per_strategy_table(rng, n)):
+        assert report_hex(contribution_report(table)) == per_view_hex(table)
+
+
+@pytest.mark.parametrize("strategies", [(), ("sum", "max")])
+def test_report_of_differences_that_are_all_negative_zero(strategies):
+    # Each modality's one with-without difference is -0.0 - 0.0, that is
+    # -0.0; a sum from 0.0 makes each contribution +0.0, as builtin sum does.
+    # (The strategy mean of -0.0 cells is +0.0, so there only the strategy
+    # views hold -0.0 differences.)
+    width = max(1, len(strategies))
+    table = AccuracyTable(("a", "b"), strategies, [[0.0] * width, [0.0] * width, [-0.0] * width])
+    for m in table.modalities:
+        with_m, without_m = table.with_without(m)
+        assert np.signbit(table.values[with_m] - table.values[without_m]).all()
+    report = contribution_report(table)
+    assert report_hex(report) == per_view_hex(table)
+    assert {f for vals in report_hex(report).values() for f in vals.values()} == {"0x0.0p+0"}
+    assert report.positive == frozenset()
