@@ -29,8 +29,12 @@ def _tool_block() -> dict:
 
 
 def _sweep_manifest(args) -> tuple[AccuracyTable, dict, list[str]]:
-    """Load the ``--manifest`` bundle and sweep ``--strategies``: (table, digests, strategy names)."""
-    bundle, digests = dataio.load_bundle(args.manifest)
+    """Load the ``--manifest`` bundle and sweep ``--strategies``: (table, digests, strategy names).
+
+    The sweep scores fused predictions against labels; the embedding files
+    are hashed, not parsed.
+    """
+    bundle, digests = dataio.load_bundle(args.manifest, embeddings=False)
     strategies = parse_strategies(args.strategies)
     return sweep(bundle, strategies), digests, [s.value for s in strategies]
 
@@ -67,8 +71,8 @@ def _contribution_table(args) -> tuple[AccuracyTable, dict, dict]:
     if args.fixture:
         return load_fixture(args.fixture), {}, {"source": "fixture", "fixture": args.fixture}
     if args.table:
-        digest = {str(args.table): dataio.sha256_file(args.table)}
-        return dataio.load_table(args.table), digest, {"source": "table", "table": str(args.table)}
+        table, digest = dataio.read_table(args.table)
+        return table, {str(args.table): digest}, {"source": "table", "table": str(args.table)}
     table, digests, strategies = _sweep_manifest(args)
     return table, digests, {"source": "manifest", "manifest": str(args.manifest), "strategies": strategies}
 
@@ -98,7 +102,7 @@ def cmd_contribution(args) -> int:
 
 
 def cmd_select(args) -> int:
-    bundle, digests = dataio.load_bundle(args.manifest)
+    bundle, digests = dataio.load_bundle(args.manifest, labels=False)  # labels are never consulted
     config = ThresholdConfig(
         lam=args.lam,
         consensus=args.consensus,

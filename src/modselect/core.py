@@ -361,10 +361,12 @@ def _dense(universe: tuple[str, ...], strategies: tuple[str, ...], entries: list
     """The values of stored ``entries`` that fill every cell once, in one pass; else None.
 
     The entries must number 2^M - 1, each an object whose ``combination`` is
-    a nonempty list of distinct known names, no two entries alike. Each
-    ``strategies`` object must list ``strategies`` in order, or be absent
-    where there are none; every ``averaged`` value and cell must be a finite
-    int or float. None leaves the input, and its error, to the per-entry loop.
+    a nonempty list of distinct known names, no two entries alike. The
+    ``strategies`` objects must all list ``strategies`` in one order, theirs
+    or another (as ``json.dump(..., sort_keys=True)`` writes them), or be
+    absent where there are none; every ``averaged`` value and cell must be a
+    finite int or float. None leaves the input, and its error, to the
+    per-entry loop.
     """
     if not entries or len(entries) != (1 << len(universe)) - 1:  # counted before the layout, which grows as 2^M
         return None
@@ -379,7 +381,10 @@ def _dense(universe: tuple[str, ...], strategies: tuple[str, ...], entries: list
     if set(map(type, combos)) != {list}:
         return None
     if strategies:
-        if set(map(type, cells)) != {dict} or set(map(tuple, cells)) != {strategies}:
+        if set(map(type, cells)) != {dict} or len(orders := set(map(tuple, cells))) != 1:
+            return None
+        (order,) = orders
+        if len(order) != len(strategies) or set(order) != set(strategies):  # not a permutation
             return None
         numbers.extend(itertools.chain.from_iterable(map(dict.values, cells)))
     elif any("strategies" in e for e in entries):  # cells the loop would check
@@ -404,7 +409,10 @@ def _dense(universe: tuple[str, ...], strategies: tuple[str, ...], entries: list
     width = max(1, len(strategies))
     values = np.empty((len(entries), width))
     # The cells are the last entries x width numbers: the averages themselves where there are no strategies.
-    values[rows[masks]] = array[-len(entries) * width :].reshape(-1, width)
+    block = array[-len(entries) * width :].reshape(-1, width)
+    if strategies and order != strategies:
+        block = block[:, [order.index(s) for s in strategies]]
+    values[rows[masks]] = block
     return values
 
 

@@ -3,7 +3,8 @@
 ``_each`` runs ``fn(*item)`` for each item, one share of the items per CPU
 the process may use (``os.sched_getaffinity``): the caller computes one
 share and each forked child another, and results come back pickled, in item
-order. ``dataio`` writes and reads the files of a bundle through it, and
+order. Items are dealt out in turn, or by cost where the caller gives one.
+``dataio`` writes and reads the files of a bundle through it, and
 ``fusion.sweep`` walks its rules through it. On one CPU (``taskset -c 0``)
 nothing is forked: the items run one after another in the caller, and the
 results are the same.
@@ -63,15 +64,33 @@ def _reap(child) -> list | None:
     return results if os.waitpid(pid, 0)[1] == 0 else None
 
 
-def _each(fn, items):
+def _deal(costs: list[float], n: int) -> list[list[int]]:
+    """Item indices for n workers, each share in item order.
+
+    The costliest item goes first, to the worker with the least cost so far
+    (the fewest items among equals); items of equal cost keep item order.
+    """
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0.0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        w = min(range(n), key=lambda w: (loads[w], len(shares[w])))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _each(fn, items, cost=None):
     """``fn(*item)`` for each item, in item order, over the CPUs the process may use.
 
     With n workers, forked child w computes ``items[w::n]`` and the caller
-    ``items[0::n]``; each stops at its first failure. Every child is reaped
-    before the first result is yielded, and a share no child delivered is
-    run again here. A failed item raises its exception when it is reached,
-    so the first failure in item order wins. On one CPU the items are
-    computed lazily, one at a time, and nothing after a failure runs.
+    ``items[0::n]``; given ``cost``, one number per item, ``_deal`` shares
+    them out by it instead, the caller taking the costliest item. Each
+    share runs in item order and stops at its first failure. Every child is
+    reaped before the first result is yielded, and a share no child
+    delivered is run again here. A failed item raises its exception when it
+    is reached, so the first failure in item order wins. On one CPU the
+    items are computed lazily, one at a time, and nothing after a failure
+    runs.
     """
     items = list(items)
     n = min(len(items), len(os.sched_getaffinity(0)))
@@ -79,17 +98,24 @@ def _each(fn, items):
         for item in items:
             yield fn(*item)
         return
+    shares = [list(range(w, len(items), n)) for w in range(n)] if cost is None else _deal(list(cost), n)
+    work = [[items[i] for i in share] for share in shares]
     children = []
     try:
-        for w in range(1, n):
-            children.append(_fork(fn, items[w::n]))
-        shares = [_run(fn, items[0::n])]
+        for share in work[1:]:
+            children.append(_fork(fn, share))
+        results = [_run(fn, work[0])]
     finally:
         delivered = [_reap(child) for child in children]
-    for w, results in enumerate(delivered, start=1):
-        shares.append(_run(fn, items[w::n]) if results is None else results)
-    for i in range(len(items)):
-        ok, value = shares[i % n][i // n]
+    for share, got in zip(work[1:], delivered):
+        results.append(_run(fn, share) if got is None else got)
+    owner = [0] * len(items)
+    for w, share in enumerate(shares):
+        for i in share:
+            owner[i] = w
+    results = [iter(got) for got in results]  # each in item order, as its share
+    for w in owner:
+        ok, value = next(results[w])
         if not ok:
             raise value
         yield value

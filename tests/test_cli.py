@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modselect import dataio
 from modselect.cli import main
 
 
@@ -424,3 +430,144 @@ def test_synth_deterministic(tmp_path):
                 "--out-dir", tmp_path / name)
     for filename in ("manifest.json", "labels.csv", "scores_good1.csv", "ground_truth.json"):
         assert (tmp_path / "one" / filename).read_bytes() == (tmp_path / "two" / filename).read_bytes()
+
+
+# The argv of each command that reads a bundle or a stored table, and the
+# JSON file it writes; {m} is the manifest, {t} a table evaluate wrote.
+READERS = {
+    "evaluate": (["evaluate", "--manifest", "{m}", "--out", "{o}"], "{o}.json"),
+    "select": (["select", "--manifest", "{m}", "--out", "{o}.json"], "{o}.json"),
+    "contribution --manifest": (["contribution", "--manifest", "{m}", "--out", "{o}.json"], "{o}.json"),
+    "contribution --table": (["contribution", "--table", "{t}", "--out", "{o}.json"], "{o}.json"),
+}
+
+
+def run_reader(command, manifest, out, table=None):
+    """Exit code and written payload (None on failure) of one READERS command."""
+    argv, written = READERS[command]
+    fill = {"m": manifest, "o": out, "t": table}
+    code = run_cli(*(arg.format(**fill) for arg in argv))
+    return code, json.loads(Path(written.format(**fill)).read_text()) if code == 0 else None
+
+
+def digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def without(payload, name):
+    """A payload with one input's digest taken out."""
+    return {**payload, "inputs": {k: v for k, v in payload["inputs"].items() if k != name}}
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("command", READERS)
+def test_a_command_opens_each_input_once(bundle_dir, tmp_path, monkeypatch, cpus, command, n_cpus):
+    table = tmp_path / "table"
+    assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", table) == 0
+    log = tmp_path / "opens.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" not in mode:  # forked children write to the same log
+            os.write(fd, f"{Path(file).name}\n".encode())
+        return open(file, mode, *args, **kwargs)
+
+    cpus(n_cpus)
+    monkeypatch.setattr(dataio, "open", recording_open, raising=False)
+    try:
+        code, payload = run_reader(command, bundle_dir / "manifest.json", tmp_path / "out", f"{table}.json")
+    finally:
+        os.close(fd)
+    assert code == 0
+    opened = Counter(log.read_text().split())
+    assert opened == Counter(Path(name).name for name in payload["inputs"])
+    assert set(opened.values()) == {1}
+
+
+def _swap_first_rows(text):
+    head, first, second, *rest = text.splitlines(keepends=True)
+    return "".join([head, second, first, *rest])
+
+
+BROKEN_EMBEDDINGS = {
+    "malformed": lambda text: "sample_id,e0\n0,abc\n",
+    "misaligned": _swap_first_rows,
+    "short": lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+    "non-finite": lambda text: re.sub(r"^(3,)[^,]*", r"\1nan", text, count=1, flags=re.M),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "contribution --manifest"])
+@pytest.mark.parametrize("kind", BROKEN_EMBEDDINGS)
+def test_a_sweep_hashes_but_does_not_parse_the_embeddings(bundle_dir, tmp_path, capsys, command, kind):
+    manifest = bundle_dir / "manifest.json"
+    _, want = run_reader(command, manifest, tmp_path / "intact")
+    path = bundle_dir / "embeddings_good1.csv"
+    path.write_text(BROKEN_EMBEDDINGS[kind](path.read_text()))
+    code, payload = run_reader(command, manifest, tmp_path / "broken")
+    assert code == 0
+    assert payload["inputs"][path.name] == digest(path) != want["inputs"][path.name]
+    assert without(payload, path.name) == without(want, path.name)
+    assert run_reader("select", manifest, tmp_path / "selected")[0] == 1  # select parses them
+    assert path.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "select", "contribution --manifest"])
+@pytest.mark.parametrize("unreadable", ["missing", "a directory"])
+def test_an_unreadable_embeddings_file_fails_every_bundle_command(bundle_dir, tmp_path, capsys, command, unreadable):
+    path = (bundle_dir / "embeddings_good2.csv").resolve()
+    path.unlink()
+    if unreadable == "a directory":
+        path.mkdir()
+    assert run_reader(command, bundle_dir / "manifest.json", tmp_path / "out")[0] == 1
+    reason = "[Errno 2] No such file or directory" if unreadable == "missing" else "[Errno 21] Is a directory"
+    assert capsys.readouterr().err == f"error: {reason}: '{path}'\n"
+
+
+BROKEN_LABELS = {
+    "malformed": ("two", "{path}:4: labels must be integer class indices"),
+    "out of range": ("7", "invalid bundle: bundle[row 2]: label 7 outside [0, 5)"),
+}
+
+
+@pytest.mark.parametrize("kind", BROKEN_LABELS)
+def test_select_hashes_but_does_not_parse_the_labels(bundle_dir, tmp_path, capsys, kind):
+    manifest = bundle_dir / "manifest.json"
+    _, want = run_reader("select", manifest, tmp_path / "intact")
+    path = bundle_dir / "labels.csv"
+    label, message = BROKEN_LABELS[kind]
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = f"{lines[3].split(',')[0]},{label}\n"
+    path.write_text("".join(lines))
+    code, payload = run_reader("select", manifest, tmp_path / "broken")
+    assert code == 0
+    assert payload["inputs"][path.name] == digest(path) != want["inputs"][path.name]
+    assert without(payload, path.name) == without(want, path.name)
+    assert run_reader("evaluate", manifest, tmp_path / "table")[0] == 1  # evaluate parses them
+    assert capsys.readouterr().err == f"error: {message.format(path=path.resolve())}\n"
+
+
+# (file, commands that parse it, error prefix): the manifest and a stored
+# table are JSON, the rest CSV.
+NOT_UTF8 = [
+    ("manifest.json", ["evaluate", "select", "contribution --manifest"], "invalid JSON"),
+    ("scores_good1.csv", ["evaluate", "select", "contribution --manifest"], "invalid UTF-8"),
+    ("embeddings_good1.csv", ["select"], "invalid UTF-8"),
+    ("labels.csv", ["evaluate", "contribution --manifest"], "invalid UTF-8"),
+    ("table.json", ["contribution --table"], "invalid JSON"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, prefix", [(name, c, prefix) for name, commands, prefix in NOT_UTF8 for c in commands]
+)
+def test_a_parsed_input_that_is_not_utf8_is_named(bundle_dir, tmp_path, capsys, name, command, prefix):
+    assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", bundle_dir / "table") == 0
+    path = bundle_dir / name
+    data = path.read_bytes()
+    path.write_bytes(data[:20] + b"\xff" + data[21:])
+    manifest, table = bundle_dir / "manifest.json", bundle_dir / "table.json"
+    assert run_reader(command, manifest, tmp_path / "out", table)[0] == 1
+    shown = path if name.endswith(".json") else path.resolve()  # JSON inputs as given, bundle files resolved
+    reason = "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
+    assert capsys.readouterr().err == f"error: {shown}: {prefix}: {reason}\n"

@@ -343,7 +343,7 @@ NOT_CELLS = ["x", None, "0.5", " 1e-1 ", True, False, float("nan"), -float("inf"
 
 @st.composite
 def stored_tables(draw):
-    """A table's to_dict payload, JSON round-tripped, then maybe damaged."""
+    """A table's to_dict payload, JSON round-tripped with or without sorted keys, then maybe damaged."""
     names = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=3, unique=True))
     strategies = draw(st.sampled_from([(), ("sum",), ("sum", "max"), ("max", "sum", "median")]))
     combos = all_combinations(names)
@@ -352,7 +352,7 @@ def stored_tables(draw):
     values = np.array([draw(st.lists(fractions, min_size=width, max_size=width)) for _ in combos])
     values[: len(names)] = values[: len(names), :1]  # singletons agree across strategies
     table = AccuracyTable(tuple(names), strategies, values, draw(st.sampled_from(["", "n"])))
-    payload = json.loads(json.dumps(table.to_dict()))
+    payload = json.loads(json.dumps(table.to_dict(), sort_keys=draw(st.booleans())))
     entries = payload["entries"]
     for _ in range(draw(st.integers(0, 2)) if entries else 0):
         i = draw(st.integers(0, len(entries) - 1))
@@ -456,6 +456,16 @@ def test_a_stored_table_is_read_in_one_pass(monkeypatch, strategies):
     assert want[3] == (7, max(1, len(strategies)))
 
 
+@pytest.mark.parametrize("strategies", [("sum", "max"), ("sum", "max", "median")])
+def test_a_table_stored_with_sorted_keys_is_read_in_one_pass(monkeypatch, strategies):
+    payload = json.loads(json.dumps(stored(strategies), sort_keys=True))
+    assert {tuple(e["strategies"]) for e in payload["entries"]} == {tuple(sorted(strategies))}
+    want = load(AccuracyTable.from_dict, stored(strategies))
+    assert load(per_cell_from_dict, payload) == want
+    monkeypatch.setattr(core, "_fill", lambda *args: pytest.fail("the per-entry loop ran"))
+    assert load(AccuracyTable.from_dict, payload) == want
+
+
 def _set_cell(value, entry=4, strategy="max"):
     def damage(payload):
         payload["entries"][entry]["strategies"][strategy] = value
@@ -475,6 +485,11 @@ def _reorder_cells(payload):
     payload["entries"][5]["strategies"] = dict(reversed(cells.items()))
 
 
+def _reorder_every_entry_s_cells(payload):
+    for entry in payload["entries"]:
+        entry["strategies"] = dict(reversed(entry["strategies"].items()))
+
+
 def _drop_strategy_list(payload):
     # The cells of a table without strategies are still checked, though unused.
     payload["strategies"] = []
@@ -486,6 +501,7 @@ def _drop_strategy_list(payload):
 # the per-entry loop.
 DAMAGES = {
     "cells out of order": (_reorder_cells, False),
+    "every entry's cells in one other order": (_reorder_every_entry_s_cells, True),
     "int 0 cell": (_set_cell(0), True),
     "int 1 cell": (_set_cell(1), True),
     "int beyond the float range": (_set_cell(10**400), False),

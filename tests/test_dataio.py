@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +584,56 @@ def test_each_reruns_the_share_of_a_child_that_sends_nothing(cpus, n_cpus):
     assert_no_children(pid)
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    costs=st.lists(st.floats(0.0, 1e6) | st.integers(0, 5), max_size=9),
+    failing=st.sets(st.integers(0, 8), max_size=3),
+    n_cpus=st.sampled_from([1, 2, 3]),
+)
+def test_each_dealt_by_cost_keeps_item_order_and_the_first_failure(cpus, costs, failing, n_cpus):
+    cpus(n_cpus)
+    pid = os.getpid()
+
+    def fn(i):
+        if i in failing:
+            raise LookupError(f"item {i} failed")
+        return square(i)
+
+    items = [(i,) for i in range(len(costs))]
+    first = min((i for i in failing if i < len(items)), default=len(items))
+    got = []
+    results = parallel._each(fn, items, cost=costs)
+    if first < len(items):
+        with pytest.raises(LookupError, match=f"^item {first} failed$"):
+            got.extend(results)
+    else:
+        got.extend(results)
+    assert got == [square(i) for i in range(first)]
+    assert_no_children(pid)
+
+
+@given(costs=st.lists(st.floats(0.0, 1e6), max_size=12), n=st.integers(1, 4))
+def test_deal_shares_every_item_once_in_item_order(costs, n):
+    shares = parallel._deal(costs, n)
+    assert sorted(i for share in shares for i in share) == list(range(len(costs)))
+    assert all(share == sorted(share) for share in shares)
+    if len(costs) >= n:
+        assert all(shares)  # every worker gets an item
+    if costs:
+        assert costs.index(max(costs)) in shares[0]  # the costliest stays in the caller
+
+
+def test_each_gives_the_caller_the_costliest_item(cpus):
+    # Dealt in turn, item 1 would go to the child; by cost, the caller keeps it.
+    cpus(2)
+    pid = os.getpid()
+    ran = list(parallel._each(lambda i: os.getpid(), [(i,) for i in range(4)], cost=[1, 100, 1, 1]))
+    assert ran[1] == pid and pid not in ran[:1] + ran[2:]
+    assert list(parallel._each(lambda i: os.getpid(), [(i,) for i in range(4)]))[::2] == [pid, pid]
+    assert_no_children(pid)
+    assert parallel._deal([0, 0, 0], 3) == [[0], [1], [2]]  # free items still spread out
+
+
 def scores_text(header, ids):
     return header + "\n" + "".join(f"{i},1.0,0.0,0.0\n" for i in ids)
 
@@ -644,3 +695,32 @@ def test_load_bundle_reports_the_first_failure_in_manifest_order(tmp_path, monke
     assert error(1) == forked
     assert failing in forked[1]
     assert opened[-1] == failing  # on one CPU no file after the failing one is opened
+
+
+def test_load_bundle_shares_the_files_it_parses_over_the_cpus(tmp_path, monkeypatch, cpus):
+    # Dealt in turn, the caller would take all four score files (every other
+    # file); dealt by parse cost, each process parses two and the embedding
+    # files, only hashed, weigh little.
+    rng = np.random.default_rng(3)
+    bundle = make_bundle(
+        [simplex_rows(rng, 50, 3) for _ in range(4)],
+        labels=rng.integers(0, 3, 50),
+        embeddings=[rng.normal(size=(50, 4)) for _ in range(4)],
+    )
+    manifest = write_bundle(bundle, tmp_path)
+    log = tmp_path / "opens.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def recording_open(file, *args, **kwargs):
+        os.write(fd, f"{os.getpid()} {Path(file).name}\n".encode())
+        return open(file, *args, **kwargs)
+
+    cpus(2)
+    monkeypatch.setattr(dataio, "open", recording_open, raising=False)
+    try:
+        loaded, _ = load_bundle(manifest, embeddings=False)
+    finally:
+        os.close(fd)
+    assert all(rec.embeddings is None for rec in loaded.modalities)
+    opened = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(Counter(pid for pid, name in opened if name.startswith("scores_")).values()) == [2, 2]
