@@ -3,7 +3,7 @@
 ``_each`` runs ``fn(*item)`` for each item, one share of the items per CPU
 the process may use (``os.sched_getaffinity``): the caller computes one
 share and each forked child another, and results come back pickled, in item
-order. Items are dealt out in turn, or by cost where the caller gives one.
+order. Items are dealt out by cost, items of equal cost in turn.
 ``dataio`` writes and reads the files of a bundle through it, and
 ``fusion.sweep`` walks its rules through it. On one CPU (``taskset -c 0``)
 nothing is forked: the items run one after another in the caller, and the
@@ -82,9 +82,9 @@ def _deal(costs: list[float], n: int) -> list[list[int]]:
 def _each(fn, items, cost=None):
     """``fn(*item)`` for each item, in item order, over the CPUs the process may use.
 
-    With n workers, forked child w computes ``items[w::n]`` and the caller
-    ``items[0::n]``; given ``cost``, one number per item, ``_deal`` shares
-    them out by it instead, the caller taking the costliest item. Each
+    ``_deal`` shares the items out over n workers by ``cost``, one number
+    per item (equal costs by default, which deals them in turn); the caller
+    takes the costliest item and each forked child another share. Each
     share runs in item order and stops at its first failure. Every child is
     reaped before the first result is yielded, and a share no child
     delivered is run again here. A failed item raises its exception when it
@@ -98,7 +98,7 @@ def _each(fn, items, cost=None):
         for item in items:
             yield fn(*item)
         return
-    shares = [list(range(w, len(items), n)) for w in range(n)] if cost is None else _deal(list(cost), n)
+    shares = _deal([1] * len(items) if cost is None else list(cost), n)
     work = [[items[i] for i in share] for share in shares]
     children = []
     try:

@@ -621,6 +621,8 @@ def test_deal_shares_every_item_once_in_item_order(costs, n):
         assert all(shares)  # every worker gets an item
     if costs:
         assert costs.index(max(costs)) in shares[0]  # the costliest stays in the caller
+    # Equal costs, as _each uses without a cost, are dealt in turn.
+    assert parallel._deal([1] * len(costs), n) == [list(range(w, len(costs), n)) for w in range(n)]
 
 
 def test_each_gives_the_caller_the_costliest_item(cpus):
@@ -699,8 +701,8 @@ def test_load_bundle_reports_the_first_failure_in_manifest_order(tmp_path, monke
 
 def test_load_bundle_shares_the_files_it_parses_over_the_cpus(tmp_path, monkeypatch, cpus):
     # Dealt in turn, the caller would take all four score files (every other
-    # file); dealt by parse cost, each process parses two and the embedding
-    # files, only hashed, weigh little.
+    # file); dealt by parse cost, each process parses two, and the embedding
+    # files, only hashed, cost nothing.
     rng = np.random.default_rng(3)
     bundle = make_bundle(
         [simplex_rows(rng, 50, 3) for _ in range(4)],
