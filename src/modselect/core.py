@@ -318,87 +318,72 @@ def _row(universe: tuple[str, ...], combo: Iterable[str]) -> int:
     return int(rows[mask])
 
 
-def _fill(universe: tuple[str, ...], n_columns: int, n_cells: int, entries: Iterable[tuple]) -> np.ndarray:
-    """Combinations x columns array from ``(combination, columns, values)`` entries.
+def _fill(universe: tuple[str, ...], n_columns: int, combos: Sequence, columns, values: np.ndarray) -> np.ndarray:
+    """Combinations x columns array: row i of ``values`` at ``columns`` of ``combos[i]``'s row.
 
-    An entry sets ``values`` at ``columns`` of its combination's row; an
-    entry without columns is skipped. The entries hold ``n_cells`` values
-    and each cell must be given once; a short count is rejected before any
-    work.
+    ``values`` holds one row of cells per combination, and ``columns`` their
+    columns, per combination or shared by all. Each cell must be set exactly
+    once. A short count is rejected before any work; any other fault is found
+    by a walk over the combinations that raises the first one.
     """
     n_combos = (1 << len(universe)) - 1
-    if n_cells < n_combos * n_columns:  # counted before the layout, which grows as 2^M
+    if values.size < n_combos * n_columns:  # counted before the layout, which grows as 2^M
         raise ValueError(
-            f"incomplete accuracy table: {n_cells} values given, "
+            f"incomplete accuracy table: {values.size} values given, "
             f"{n_combos} combinations x {n_columns} columns needed"
         )
-    n_rows = _layout(universe)[1].size
-    filled = [0] * n_rows  # per row, a bitmask of the columns already set
-    masks: dict[tuple, int] = {}  # columns -> their bitmask, or -1 if one repeats
-    rows: list[int] = []
-    columns_given: list[int] = []
-    cells: list[float] = []
-    for combo, columns, entry_values in entries:
-        if not columns:
-            continue
-        row = _row(universe, combo)
-        mask = masks.get(columns)
-        if mask is None:
-            unique = set(columns)
-            mask = masks[columns] = sum(1 << c for c in unique) if len(unique) == len(columns) else -1
-        if mask < 0 or filled[row] & mask:
-            raise ValueError(f"duplicate entry for combination {sorted(combo)}")
-        filled[row] |= mask
-        rows.extend([row] * len(columns))
-        columns_given.extend(columns)
-        cells.extend(map(float, entry_values))
-    values = np.zeros((n_rows, n_columns))
-    values[rows, columns_given] = cells
-    return values
-
-
-def _dense(universe: tuple[str, ...], strategies: tuple[str, ...], entries: list) -> np.ndarray | None:
-    """The values of stored ``entries`` that fill every cell once, in one pass; else None.
-
-    The entries must number 2^M - 1, each an object whose ``combination`` is
-    a nonempty list of distinct known names, no two entries alike. The
-    ``strategies`` objects must all list ``strategies`` in one order, theirs
-    or another (as ``json.dump(..., sort_keys=True)`` writes them), or be
-    absent where there are none; every ``averaged`` value and cell must be a
-    finite int or float. None leaves the input, and its error, to the
-    per-entry loop.
-    """
-    if not entries or len(entries) != (1 << len(universe)) - 1:  # counted before the layout, which grows as 2^M
-        return None
-    if len(set(universe)) != len(universe) or set(map(type, entries)) != {dict}:
-        return None
-    try:
-        combos = [e["combination"] for e in entries]
-        numbers = [e["averaged"] for e in entries]
-        cells = [e["strategies"] for e in entries] if strategies else ()
-    except KeyError:
-        return None
-    if set(map(type, combos)) != {list}:
-        return None
-    if strategies:
-        if set(map(type, cells)) != {dict} or len(orders := set(map(tuple, cells))) != 1:
-            return None
-        (order,) = orders
-        if len(order) != len(strategies) or set(order) != set(strategies):  # not a permutation
-            return None
-        numbers.extend(itertools.chain.from_iterable(map(dict.values, cells)))
-    elif any("strategies" in e for e in entries):  # cells the loop would check
-        return None
-    if not set(map(type, numbers)) <= {int, float}:
-        return None
     bit, _, rows = _layout(universe)
     try:
         masks = [sum(map(bit.__getitem__, c)) for c in combos]
     except (KeyError, TypeError):  # an unknown or unhashable name
-        return None
-    lengths = list(map(len, combos))
+        masks = [0]
     # A repeated name carries into another bit; an empty combination has mask 0.
-    if list(map(int.bit_count, masks)) != lengths or 0 in lengths or len(set(masks)) < len(masks):
+    if 0 not in masks and list(map(int.bit_count, masks)) == list(map(len, combos)):
+        cells = rows[masks][:, None] * n_columns + columns
+        if (np.bincount(cells.ravel(), minlength=n_combos * n_columns) == 1).all():
+            out = np.empty(n_combos * n_columns)
+            out[cells] = values
+            return out.reshape(n_combos, n_columns)
+    # At least as many cells as the table holds, not each set once: some
+    # combination is rejected by _row, or some cell is set twice.
+    seen: set[tuple[int, int]] = set()
+    for combo, given in zip(combos, np.broadcast_to(columns, values.shape).tolist()):
+        row = _row(universe, combo)
+        if not seen.isdisjoint((row, c) for c in given):
+            raise ValueError(f"duplicate entry for combination {sorted(combo)}")
+        seen.update((row, c) for c in given)
+
+
+def _stored(universe: tuple[str, ...], strategies: tuple[str, ...], entries: list) -> np.ndarray | None:
+    """The values of stored ``entries`` in one pass, if they fill every cell once; else None.
+
+    Each entry must be an object with a ``combination`` list and a finite
+    int or float ``averaged``. Where there are strategies, its ``strategies``
+    object must hold one finite int or float per strategy, its keys in any
+    order; where there are none, it must have no ``strategies``. None leaves
+    the input, and its error, to the per-entry loop of
+    :meth:`AccuracyTable.from_dict`.
+    """
+    try:
+        combos = [e["combination"] for e in entries]
+        numbers = [e["averaged"] for e in entries]
+        cells = [e["strategies"] for e in entries] if strategies else ()
+    except (KeyError, TypeError):  # TypeError: an entry that is not an object
+        return None
+    if strategies:
+        # Each entry's cells must name every strategy once and nothing else.
+        if len(set(strategies)) < len(strategies) or set(map(type, cells)) != {dict}:
+            return None
+        if set(map(len, cells)) != {len(strategies)}:
+            return None
+        try:
+            for strategy in strategies:  # column by column, in strategy order
+                numbers.extend(map(operator.itemgetter(strategy), cells))
+        except KeyError:
+            return None
+    elif any("strategies" in e for e in entries):  # cells the loop would check
+        return None
+    if set(map(type, combos)) != {list} or not set(map(type, numbers)) <= {int, float}:
         return None
     try:
         array = np.array(numbers, dtype=np.float64)
@@ -407,25 +392,13 @@ def _dense(universe: tuple[str, ...], strategies: tuple[str, ...], entries: list
     if not np.isfinite(array).all():
         return None
     width = max(1, len(strategies))
-    values = np.empty((len(entries), width))
-    # The cells are the last entries x width numbers: the averages themselves where there are no strategies.
-    block = array[-len(entries) * width :].reshape(-1, width)
-    if strategies and order != strategies:
-        block = block[:, [order.index(s) for s in strategies]]
-    values[rows[masks]] = block
-    return values
-
-
-def _columns(strategies: tuple[str, ...], names: Iterable) -> dict[str, int]:
-    """Column of each strategy; ``names`` are the strategy names the cells give."""
-    if not strategies:
-        raise ValueError("per-strategy entries given without strategy list")
-    column = {s: k for k, s in enumerate(strategies)}
-    if len(column) != len(strategies):
-        raise ValueError("strategy names must be distinct")
-    if not {str(s) for s in names} <= column.keys():
-        raise ValueError("per-strategy entries do not cover combinations x strategies")
-    return column
+    # The cells are the last entries x width numbers, column by column: the
+    # averages themselves where there are no strategies.
+    values = array[-len(entries) * width :].reshape(width, -1).T
+    try:
+        return _fill(universe, width, combos, np.arange(width), values)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 _REQUIRED = object()
@@ -482,19 +455,6 @@ def _number(value, where: str, name: str) -> float:
     raise ValueError(f"{where}: {name} must be a finite number, not {value!r}")
 
 
-def _numbers(cells: Mapping, where: str) -> list[float]:
-    """An entry's ``strategies`` cells as floats; each must pass :func:`_number`."""
-    # _number's test inlined: a call per cell would cost a 4095-entry table 4 ms
-    numbers = [
-        float(v) for v in cells.values()
-        if (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
-    ]
-    if len(numbers) < len(cells):
-        for key, value in cells.items():
-            _number(value, where, f"'strategies' value {key!r}")
-    return numbers
-
-
 def json_names(record: Mapping, name: str, where: str, default=_REQUIRED) -> tuple[str, ...]:
     """A field that must hold a list of strings, as a tuple."""
     values = json_field(record, name, where, list, default)
@@ -524,6 +484,8 @@ class AccuracyTable:
         if values.shape != ((1 << len(universe)) - 1, max(1, len(strategies))):
             raise ValueError(f"accuracy values of shape {values.shape} do not fit the table")
         _layout(universe)  # the names are nonempty and distinct
+        if len(set(strategies)) < len(strategies):
+            raise ValueError("strategy names must be distinct")
         outside = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
         if outside.size:
             row, column = outside[0]
@@ -543,15 +505,24 @@ class AccuracyTable:
     @classmethod
     def from_averaged(cls, modalities, averaged, note: str = "") -> "AccuracyTable":
         universe = tuple(modalities)
-        entries = ((combo, (0,), (value,)) for combo, value in averaged.items())
-        return cls(universe, (), _fill(universe, 1, len(averaged), entries), note)
+        values = np.fromiter(averaged.values(), np.float64, len(averaged))[:, None]
+        return cls(universe, (), _fill(universe, 1, list(averaged), 0, values), note)
 
     @classmethod
     def from_per_strategy(cls, modalities, strategies, per_strategy, note: str = "") -> "AccuracyTable":
         universe, strategies = tuple(modalities), tuple(strategies)
-        column = _columns(strategies, (s for _, s in per_strategy))
-        entries = ((c, (column[str(s)],), (v,)) for (c, s), v in per_strategy.items())
-        values = _fill(universe, len(strategies), len(per_strategy), entries)
+        if not strategies:
+            raise ValueError("per-strategy entries given without strategy list")
+        column = {s: k for k, s in enumerate(strategies)}
+        if len(column) != len(strategies):
+            raise ValueError("strategy names must be distinct")
+        try:
+            columns = np.fromiter((column[str(s)] for _, s in per_strategy), np.intp, len(per_strategy))
+        except KeyError:
+            raise ValueError("per-strategy entries do not cover combinations x strategies") from None
+        cells = np.fromiter(per_strategy.values(), np.float64, len(per_strategy))
+        combos = [c for c, _ in per_strategy]
+        values = _fill(universe, len(strategies), combos, columns[:, None], cells[:, None])
         return cls(universe, strategies, values, note)
 
     @property
@@ -612,21 +583,24 @@ class AccuracyTable:
     def from_dict(cls, payload: Mapping) -> "AccuracyTable":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it.
 
-        Each entry fills one row. Its ``averaged`` value must be a finite
-        number but is not compared with the mean of its strategies. Entries
-        that fill every cell once, as :meth:`to_dict` writes them, are read
-        in one pass (:func:`_dense`); any others go through a per-entry
-        loop, which names the first fault.
+        Each entry gives one combination's ``averaged`` value, a finite
+        number that is checked but not compared with the mean of its cells.
+        Where the table has strategies, each entry's ``strategies`` object
+        must be present and nonempty. Entries that fill every cell once, as
+        :meth:`to_dict` writes them with their keys in any order, are read in
+        one pass (:func:`_stored`). Any others go through a per-entry loop,
+        which checks the fields in entry order and builds the table through
+        :meth:`from_per_strategy` or :meth:`from_averaged`.
         """
         modalities = json_names(payload, "modalities", "accuracy table")
         strategies = json_names(payload, "strategies", "accuracy table", ())
         note = json_field(payload, "note", "accuracy table", str, "")
         entries = json_field(payload, "entries", "accuracy table", list)
-        values = _dense(modalities, strategies, entries)
+        values = _stored(modalities, strategies, entries)
         if values is not None:
             return cls(modalities, strategies, values, note)
         averaged: dict[tuple, float] = {}
-        given: list[tuple[tuple, list[float]]] = []  # per entry, strategy names and values
+        per_strategy: dict[tuple, float] = {}
         for i, row in enumerate(entries):
             where = f"accuracy table entry {i}"
             combo = tuple(json_field(row, "combination", where, list))
@@ -637,14 +611,11 @@ class AccuracyTable:
             if duplicate:
                 raise ValueError(f"duplicate entry for combination {sorted(combo, key=str)}")
             averaged[combo] = _number(json_field(row, "averaged", where), where, "'averaged'")
-            cells = json_field(row, "strategies", where, dict, {})
-            given.append((tuple(cells), _numbers(cells, where)))
-        if not strategies:
-            return cls.from_averaged(modalities, averaged, note)
-        orders = {names for names, _ in given}
-        column = _columns(strategies, itertools.chain.from_iterable(orders))
-        columns = {names: tuple(column[str(s)] for s in names) for names in orders}
-        entries = ((combo, columns[names], cells) for combo, (names, cells) in zip(averaged, given))
-        n_cells = sum(len(names) for names, _ in given)
-        values = _fill(modalities, len(strategies), n_cells, entries)
-        return cls(modalities, strategies, values, note)
+            cells = json_field(row, "strategies", where, dict, _REQUIRED if strategies else {})
+            if strategies and not cells:
+                raise ValueError(f"{where}: 'strategies' must not be empty")
+            for strategy, value in cells.items():
+                per_strategy[combo, strategy] = _number(value, where, f"'strategies' value {strategy!r}")
+        if strategies:
+            return cls.from_per_strategy(modalities, strategies, per_strategy, note)
+        return cls.from_averaged(modalities, averaged, note)

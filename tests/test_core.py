@@ -306,7 +306,8 @@ def per_cell_from_dict(payload):
     """The table load as it was before entries filled whole rows: one dict entry per cell.
 
     A value that is not an int or float within the float range (a bool
-    included) is an error naming its field.
+    included) is an error naming its field. Where the table has strategies,
+    an entry without cells is an error too.
     """
 
     def field(record, name, where):
@@ -330,6 +331,8 @@ def per_cell_from_dict(payload):
         if combo in averaged:
             raise ValueError(f"duplicate entry for combination {sorted(combo)}")
         averaged[combo] = number(field(row, "averaged", where), where, "'averaged'")
+        if strategies and not field(row, "strategies", where):
+            raise ValueError(f"{where}: 'strategies' must not be empty")
         for s, v in row.get("strategies", {}).items():
             per_strategy[(combo, s)] = number(v, where, f"'strategies' value {s!r}")
     if strategies:
@@ -447,11 +450,17 @@ def stored(strategies):
     return json.loads(json.dumps(AccuracyTable(("a", "b", "c"), strategies, values, "n").to_dict()))
 
 
+def per_entry_loop_fails(monkeypatch):
+    """Make the per-entry loop of from_dict fail the test where it builds a table."""
+    for name in ("from_averaged", "from_per_strategy"):
+        monkeypatch.setattr(AccuracyTable, name, lambda *args: pytest.fail("the per-entry loop ran"))
+
+
 @pytest.mark.parametrize("strategies", [(), ("sum", "max")])
 def test_a_stored_table_is_read_in_one_pass(monkeypatch, strategies):
     payload = stored(strategies)
     want = load(per_cell_from_dict, payload)
-    monkeypatch.setattr(core, "_fill", lambda *args: pytest.fail("the per-entry loop ran"))
+    per_entry_loop_fails(monkeypatch)
     assert load(AccuracyTable.from_dict, payload) == want
     assert want[3] == (7, max(1, len(strategies)))
 
@@ -462,8 +471,65 @@ def test_a_table_stored_with_sorted_keys_is_read_in_one_pass(monkeypatch, strate
     assert {tuple(e["strategies"]) for e in payload["entries"]} == {tuple(sorted(strategies))}
     want = load(AccuracyTable.from_dict, stored(strategies))
     assert load(per_cell_from_dict, payload) == want
-    monkeypatch.setattr(core, "_fill", lambda *args: pytest.fail("the per-entry loop ran"))
+    per_entry_loop_fails(monkeypatch)
     assert load(AccuracyTable.from_dict, payload) == want
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"combination": ["z"], "averaged": 0.9},
+        {"combination": [], "averaged": 0.9},
+        {"combination": ["a", "a"], "averaged": 0.9},
+        {"combination": ["b", "a"], "averaged": 0.9, "strategies": {}},
+    ],
+)
+def test_an_entry_without_cells_is_rejected_where_the_table_has_strategies(entry):
+    payload = stored(("sum", "max"))
+    payload["entries"].append(entry)
+    if "strategies" in entry:
+        want = "accuracy table entry 7: 'strategies' must not be empty"
+    else:
+        want = "accuracy table entry 7 has no 'strategies' field"
+    assert load(AccuracyTable.from_dict, payload) == load(per_cell_from_dict, payload) == ("ValueError", want)
+
+
+def test_a_table_rejects_repeated_strategy_names():
+    # to_dict would fold the two columns into one key, and from_dict reject the file.
+    with pytest.raises(ValueError, match="strategy names must be distinct"):
+        AccuracyTable(("a", "b"), ("s", "s"), np.full((3, 2), 0.9))
+
+
+# A fault in a combination, with the error it raises.
+FAULTS = {
+    "unknown": (("a", "z"), "KeyError", "unknown modalities in combination: ['z']"),
+    "repeated": (("a", "a"), "ValueError", "modality combination ['a', 'a'] repeats a name"),
+    "empty": ((), "ValueError", "modality combination must be nonempty"),
+    "duplicated": (("c", "a"), "ValueError", "duplicate entry for combination ['a', 'c']"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_every_constructor_names_the_same_first_fault(fault):
+    combo, kind, message = FAULTS[fault]
+    names, strategies = ("a", "b", "c"), ("sum", "max")
+    combos = all_combinations(names)
+    # The fault comes mid-table, before its duplicate and before another unknown name.
+    order = combos[:3] + [combo] + combos[3:] + [("y",)]
+    averaged = dict.fromkeys(order, 0.5)
+    per_strategy = {(c, s): 0.5 for c in order for s in strategies}
+    cells = dict.fromkeys(strategies, 0.5)
+    payload = {
+        "modalities": list(names),
+        "strategies": list(strategies),
+        "entries": [{"combination": list(c), "averaged": 0.5, "strategies": cells} for c in order],
+    }
+    errors = {
+        load(lambda a: AccuracyTable.from_averaged(names, a), averaged),
+        load(lambda p: AccuracyTable.from_per_strategy(names, strategies, p), per_strategy),
+        load(AccuracyTable.from_dict, payload),
+    }
+    assert errors == {(kind, repr(message) if kind == "KeyError" else message)}
 
 
 def _set_cell(value, entry=4, strategy="max"):
@@ -490,6 +556,11 @@ def _reorder_every_entry_s_cells(payload):
         entry["strategies"] = dict(reversed(entry["strategies"].items()))
 
 
+def _reorder_every_other_entry_s_cells(payload):
+    for entry in payload["entries"][::2]:
+        entry["strategies"] = dict(reversed(entry["strategies"].items()))
+
+
 def _drop_strategy_list(payload):
     # The cells of a table without strategies are still checked, though unused.
     payload["strategies"] = []
@@ -497,11 +568,12 @@ def _drop_strategy_list(payload):
 
 
 # (damage, whether the one-pass read still takes the table): ints and -0.0
-# are finite JSON numbers, so they stay on it; the rest leave the table to
-# the per-entry loop.
+# are finite JSON numbers and cells may list their keys in any order, so
+# they stay on it; the rest leave the table to the per-entry loop.
 DAMAGES = {
-    "cells out of order": (_reorder_cells, False),
+    "cells out of order": (_reorder_cells, True),
     "every entry's cells in one other order": (_reorder_every_entry_s_cells, True),
+    "entries' cells in mixed orders": (_reorder_every_other_entry_s_cells, True),
     "int 0 cell": (_set_cell(0), True),
     "int 1 cell": (_set_cell(1), True),
     "int beyond the float range": (_set_cell(10**400), False),
@@ -520,7 +592,7 @@ def test_a_damaged_stored_table_reads_as_the_per_cell_build(monkeypatch, kind):
     payload = stored(("sum", "max"))
     damage(payload)
     reads = []
-    dense = core._dense
-    monkeypatch.setattr(core, "_dense", lambda *args: reads.append(dense(*args)) or reads[-1])
+    one_pass_read = core._stored
+    monkeypatch.setattr(core, "_stored", lambda *args: reads.append(one_pass_read(*args)) or reads[-1])
     assert load(AccuracyTable.from_dict, payload) == load(per_cell_from_dict, payload)
     assert [values is not None for values in reads] == [one_pass]
