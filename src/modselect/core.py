@@ -455,6 +455,21 @@ def _number(value, where: str, name: str) -> float:
     raise ValueError(f"{where}: {name} must be a finite number, not {value!r}")
 
 
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _floats(given: Mapping) -> np.ndarray:
+    """The values of ``given`` as floats, if each is an int or a float, numpy's included.
+
+    A bool, a string or any other value raises ``ValueError`` naming its key.
+    """
+    other = {k for k in set(map(type, given.values())) if k is bool or not issubclass(k, _NUMBERS)}
+    if other:
+        key, value = next((k, v) for k, v in given.items() if type(v) in other)
+        raise ValueError(f"accuracy for {key!r} must be a finite number, not {value!r}")
+    return np.fromiter(given.values(), np.float64, len(given))
+
+
 def json_names(record: Mapping, name: str, where: str, default=_REQUIRED) -> tuple[str, ...]:
     """A field that must hold a list of strings, as a tuple."""
     values = json_field(record, name, where, list, default)
@@ -505,7 +520,7 @@ class AccuracyTable:
     @classmethod
     def from_averaged(cls, modalities, averaged, note: str = "") -> "AccuracyTable":
         universe = tuple(modalities)
-        values = np.fromiter(averaged.values(), np.float64, len(averaged))[:, None]
+        values = _floats(averaged)[:, None]
         return cls(universe, (), _fill(universe, 1, list(averaged), 0, values), note)
 
     @classmethod
@@ -520,7 +535,7 @@ class AccuracyTable:
             columns = np.fromiter((column[str(s)] for _, s in per_strategy), np.intp, len(per_strategy))
         except KeyError:
             raise ValueError("per-strategy entries do not cover combinations x strategies") from None
-        cells = np.fromiter(per_strategy.values(), np.float64, len(per_strategy))
+        cells = _floats(per_strategy)
         combos = [c for c, _ in per_strategy]
         values = _fill(universe, len(strategies), combos, columns[:, None], cells[:, None])
         return cls(universe, strategies, values, note)

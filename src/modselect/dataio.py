@@ -18,6 +18,13 @@ from those bytes where the caller passes it, so a digest in a report's
 reads and hashes every file a manifest lists but decodes and parses only
 the kinds the caller asks for; ``read_table`` reads a stored table so.
 
+JSON files are written by ``dump_json``: the bytes of ``json.dump(payload,
+fh, indent=2)`` and a newline, ASCII-escaped. It builds the text itself, a
+block of list items per write, with strings through ``json``'s own escape
+and numbers through ``int.__repr__`` and ``float.__repr__``, instead of
+``json``'s token-by-token generator; anything else it leaves to
+``json.dump``.
+
 The files of a bundle are written and read in forked processes, one share
 of the files per CPU the process may use, through ``parallel._each``, the
 primitive that also runs the fusion sweep's rules; ``taskset -c 0`` keeps
@@ -32,6 +39,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -77,11 +85,117 @@ def _read_hashed(path) -> tuple[bytes, str]:
 
 
 def dump_json(payload, path) -> None:
+    """Write the bytes of ``json.dump(payload, fh, indent=2)`` and a newline.
+
+    :func:`_write_json` builds the same text block by block. A payload it
+    does not take (a key that is no string, a value that is no JSON, a
+    subclass of dict or list, a cycle) goes through ``json.dump`` itself,
+    which writes it or raises its own error.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        try:
+            _write_json(payload, "", fh.write)
+        except (TypeError, ValueError, RecursionError):  # no JSON; a huge int; a cycle, deep nesting
+            fh.seek(0)
+            fh.truncate()
+            json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONTAINERS = {dict, list, tuple}
+_JSON_BLOCK = 64  # list items encoded per write
+_JSON_DEPTH = 200  # containers nested deeper go to json.dump, which fails where it must
+
+
+def _scalar(value) -> str:
+    """``json``'s text for a string, number, bool or None; TypeError for anything else."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"{type(value).__name__} is no JSON scalar")
+
+
+def _write_json(value, pad: str, write) -> None:
+    """Write ``value``'s ``indent=2`` text at indent ``pad``.
+
+    An object that holds a container is written key by key, and a list
+    :data:`_JSON_BLOCK` items at a time; :func:`_texts` builds each block
+    and anything else.
+    """
+    if len(pad) > 2 * _JSON_DEPTH:
+        raise RecursionError("nested too deeply")
+    inner = pad + "  "
+    if type(value) is dict and not _CONTAINERS.isdisjoint(map(type, value.values())):
+        after = "\n" + inner
+        write("{")
+        for key, item in value.items():
+            write(f"{after}{_ESCAPE(key)}: ")  # TypeError where the key is no string
+            _write_json(item, inner, write)
+            after = ",\n" + inner
+        write(f"\n{pad}}}")
+    elif type(value) in (list, tuple) and value:
+        between, after = ",\n" + inner, "\n" + inner
+        write("[")
+        for start in range(0, len(value), _JSON_BLOCK):
+            write(after + between.join(_texts(value[start : start + _JSON_BLOCK], inner)))
+            after = between
+        write(f"\n{pad}]")
+    else:
+        write(_texts([value], pad)[0])
+
+
+def _texts(items, pad: str) -> list[str]:
+    """The ``indent=2`` texts of ``items``, each at indent ``pad``, built kind by kind.
+
+    Strings and finite floats are encoded in one map; the items of all the
+    lists in one call; objects with the same keys, in the same order, in
+    one call per key and one format. Anything else is encoded item by item.
+    """
+    if len(pad) > 2 * _JSON_DEPTH:
+        raise RecursionError("nested too deeply")
+    if not items:
+        return []
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        return list(map(_ESCAPE, items))
+    if kinds == {float} and all(map(math.isfinite, items)):
+        return list(map(float.__repr__, items))
+    inner = pad + "  "
+    between = ",\n" + inner
+    if kinds <= {list, tuple}:
+        texts = _texts(list(itertools.chain.from_iterable(items)), inner)
+        ends = list(itertools.accumulate(map(len, items)))
+        return [
+            f"[\n{inner}{between.join(texts[end - len(item) : end])}\n{pad}]" if item else "[]"
+            for item, end in zip(items, ends)
+        ]
+    if kinds == {dict}:
+        shapes = set(map(tuple, items))
+        keys = shapes.pop()
+        if not shapes:
+            if not keys:
+                return ["{}"] * len(items)
+            fields = between.join(_ESCAPE(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+            template = f"{{{{\n{inner}{fields}\n{pad}}}}}"
+            if len(items) == 1:  # one call on its values
+                return [template.format(*_texts(list(items[0].values()), inner))]
+            columns = [_texts(list(map(operator.itemgetter(k), items)), inner) for k in keys]
+            return list(map(template.format, *columns))
+    return [_texts([item], pad)[0] if type(item) in _CONTAINERS else _scalar(item) for item in items]
 
 
 def _json_text(path, data: bytes | None = None) -> str:

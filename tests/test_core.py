@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import sys
 import time
 
@@ -152,6 +153,20 @@ class TestAccuracyTable:
             AccuracyTable.from_averaged(
                 ("a", "b"), {("a",): 0.5, ("b",): 0.7, ("a", "b"): bad}
             )
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5]])
+    def test_a_value_that_is_no_number_is_rejected(self, bad):
+        averaged = {("a",): 0.5, ("b",): bad, ("a", "b"): 0.8}
+        with pytest.raises(ValueError, match=rf"^accuracy for \('b',\) must be a finite number, not {re.escape(repr(bad))}$"):
+            AccuracyTable.from_averaged(("a", "b"), averaged)
+        per_strategy = {(c, "sum"): v for c, v in averaged.items()}
+        with pytest.raises(ValueError, match=r"^accuracy for \(\('b',\), 'sum'\) must be a finite number, not "):
+            AccuracyTable.from_per_strategy(("a", "b"), ("sum",), per_strategy)
+
+    def test_numpy_numbers_are_accepted(self):
+        averaged = {("a",): np.float32(0.5), ("b",): np.int64(1), ("a", "b"): np.float64(0.75)}
+        table = AccuracyTable.from_averaged(("a", "b"), averaged)
+        assert table.values.tolist() == [[0.5], [1.0], [0.75]]
 
     def test_per_strategy_requires_identical_singletons(self):
         entries = {

@@ -1,8 +1,10 @@
 import csv
+import enum
 import io
 import json
 import os
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -293,6 +295,130 @@ def test_table_csv_and_json(tmp_path, rng):
     )
     for combo in table.combinations():
         assert clone.value(combo) == table.value(combo)
+
+
+# --- dump_json against json.dump --------------------------------------------
+
+
+def json_dump_file(payload, path):
+    """What ``json.dump(payload, fh, indent=2)`` and a newline leave in ``path``, and its error."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+            error = None
+        except Exception as err:
+            error = (type(err), str(err))
+    return path.read_bytes(), error
+
+
+def dump_json_file(payload, path):
+    try:
+        dump_json(payload, path)
+        error = None
+    except Exception as err:
+        error = (type(err), str(err))
+    return path.read_bytes(), error
+
+
+class Level(enum.IntEnum):
+    LOW = 1  # json writes int.__repr__, 1, not the enum's repr
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.just(Level.LOW),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e16, 1e-5, 10**300]),
+    st.text(),
+    st.sampled_from(["é", "\u20ac", "\U0001f600", "\x00\x1f\x7f", '"\\/', "\ud800", "\udfff", "{}", "{0}"]),
+)
+KEYS = st.text(max_size=4) | st.sampled_from(["{", "}", "{}", "\ud800", "é"])
+
+
+def json_trees(scalars=SCALARS, keys=KEYS):
+    """Nested dicts, lists and tuples, some lists holding objects with one key order."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=5).map(tuple),
+            st.dictionaries(keys, inner, max_size=4),
+            st.lists(st.fixed_dictionaries({"a": inner, "{b}": inner}), max_size=4),
+            st.lists(st.dictionaries(st.sampled_from(["a", "b"]), inner, max_size=2), max_size=4),
+        ),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=json_trees())
+def test_dump_json_writes_the_bytes_of_json_dump(tmp_path, monkeypatch, payload):
+    want, error = json_dump_file(payload, tmp_path / "want.json")
+    assert error is None
+    with monkeypatch.context() as patch:  # the payload never reaches json.dump
+        patch.setattr(json, "dump", lambda *args, **kwargs: pytest.fail("json.dump was called"))
+        assert dump_json_file(payload, tmp_path / "got.json") == (want, None)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=json_trees(keys=KEYS | st.integers(-2, 2) | st.floats() | st.booleans() | st.none()))
+def test_dump_json_spells_keys_that_are_no_strings_as_json_dump(tmp_path, payload):
+    want = json_dump_file(payload, tmp_path / "want.json")
+    assert dump_json_file(payload, tmp_path / "got.json") == want
+
+
+def test_dump_json_writes_long_lists_and_deep_nesting_as_json_dump(tmp_path):
+    deep = []
+    for k in range(300):  # past the depth the fast path takes
+        deep = [k, {"a": deep}]
+    cases = [
+        list(range(1000)),
+        [{"combination": ["a"] * (k % 5), "averaged": k / 7} for k in range(300)],
+        [{"a": 1}, {True: 2}, {1.0: 3}, {"a": [1], "b": {}}, {}],
+        deep,
+    ]
+    for payload in cases:
+        want = json_dump_file(payload, tmp_path / "want.json")
+        assert want[1] is None
+        assert dump_json_file(payload, tmp_path / "got.json") == want
+
+
+def test_dump_json_raises_json_dump_s_error(tmp_path):
+    cycle = {"a": [1]}
+    cycle["a"].append(cycle)
+    cases = {
+        "set": ({"table": {"entries": [{"x": 0.5}, {"x": {1, 2}}]}}, TypeError),
+        "tuple key": ({"ok": 1, (1, 2): 3}, TypeError),
+        "cycle": (cycle, ValueError),
+        "numpy int": ([1, np.int64(2)], TypeError),
+        "huge int": ({"n": 10**5000}, None),  # ValueError where int to text is limited
+    }
+    for payload, kind in cases.values():
+        want = json_dump_file(payload, tmp_path / "want.json")
+        assert kind is None or want[1][0] is kind
+        assert dump_json_file(payload, tmp_path / "got.json") == want
+
+
+def test_dump_json_holds_a_small_part_of_a_large_table(tmp_path):
+    names = tuple(f"m{i:02d}" for i in range(12))
+    strategies = ("sum", "sqsum", "product", "max", "median", "borda")
+    values = np.random.default_rng(3).uniform(0.1, 0.9, (4095, 6))
+    values[:12] = values[:12, :1]  # singletons agree across strategies
+    payload = {"schema": 1, "table": AccuracyTable(names, strategies, values).to_dict()}
+    tracemalloc.start()
+    try:
+        dump_json(payload, tmp_path / "table.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "table.json").stat().st_size
+    assert (tmp_path / "table.json").read_bytes() == json_dump_file(payload, tmp_path / "want.json")[0]
+    assert peak < written / 8, (peak, written)
 
 
 # --- Fast readers and writers against the csv module -----------------------
