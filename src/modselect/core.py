@@ -408,13 +408,12 @@ _JSON_KINDS = {
     list: (list, "a list"),
     dict: (dict, "an object"),
     int: (int, "an integer"),
-    float: ((int, float), "a number"),
     bool: (bool, "a boolean"),
 }
 
 
 def json_field(record: Mapping, name: str, where: str, kind: type = object, default=_REQUIRED):
-    """``record[name]`` if it holds JSON of ``kind`` (``float`` takes any number, as a float).
+    """``record[name]`` if it holds JSON of ``kind`` (``float`` takes a finite number, as a float).
 
     A missing field reads as ``default`` where one is given, and so does
     null where that default is None. Anything else that is missing or of
@@ -428,15 +427,12 @@ def json_field(record: Mapping, name: str, where: str, kind: type = object, defa
         return default
     if value is None and default is None:
         return None
+    if kind is float:
+        return _number(value, where, repr(name))
     if kind is not object:
         types, label = _JSON_KINDS[kind]
         if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
             raise ValueError(f"{where}: {name!r} must be {label}")
-    if kind is float:
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError(f"{where}: {name!r} is out of range") from None
     return value
 
 
@@ -461,13 +457,21 @@ _NUMBERS = (int, float, np.integer, np.floating)
 def _floats(given: Mapping) -> np.ndarray:
     """The values of ``given`` as floats, if each is an int or a float, numpy's included.
 
-    A bool, a string or any other value raises ``ValueError`` naming its key.
+    A bool, a string, an int beyond the float range or any other value
+    raises ``ValueError`` naming its key.
     """
     other = {k for k in set(map(type, given.values())) if k is bool or not issubclass(k, _NUMBERS)}
-    if other:
-        key, value = next((k, v) for k, v in given.items() if type(v) in other)
-        raise ValueError(f"accuracy for {key!r} must be a finite number, not {value!r}")
-    return np.fromiter(given.values(), np.float64, len(given))
+    if not other:
+        try:
+            return np.fromiter(given.values(), np.float64, len(given))
+        except OverflowError:  # an int beyond the float range
+            pass
+    key, value = next(
+        (k, v)
+        for k, v in given.items()
+        if type(v) in other or (isinstance(v, int) and not -_FLOAT_MAX <= v <= _FLOAT_MAX)
+    )
+    raise ValueError(f"accuracy for {key!r} must be a finite number, not {value!r}")
 
 
 def json_names(record: Mapping, name: str, where: str, default=_REQUIRED) -> tuple[str, ...]:

@@ -20,10 +20,11 @@ the kinds the caller asks for; ``read_table`` reads a stored table so.
 
 JSON files are written by ``dump_json``: the bytes of ``json.dump(payload,
 fh, indent=2)`` and a newline, ASCII-escaped. It builds the text itself, a
-block of list items per write, with strings through ``json``'s own escape
-and numbers through ``int.__repr__`` and ``float.__repr__``, instead of
-``json``'s token-by-token generator; anything else it leaves to
-``json.dump``.
+block of list items per write, instead of ``json``'s token-by-token
+generator. ``json`` spells each scalar; a list of strings, or of finite
+floats, is spelled in one map through its escape or ``float.__repr__``. A
+payload it does not take, or one nested deeply enough to raise
+``RecursionError``, it leaves to ``json.dump``.
 
 The files of a bundle are written and read in forked processes, one share
 of the files per CPU the process may use, through ``parallel._each``, the
@@ -66,11 +67,7 @@ from .parallel import _each
 # No program path calls this; it is kept only because perfbench's tracer
 # patches it by name (tracing.CALLS).
 def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return _read_hashed(path)[1]
 
 
 def _read_bytes(path) -> bytes:
@@ -87,10 +84,11 @@ def _read_hashed(path) -> tuple[bytes, str]:
 def dump_json(payload, path) -> None:
     """Write the bytes of ``json.dump(payload, fh, indent=2)`` and a newline.
 
-    :func:`_write_json` builds the same text block by block. A payload it
-    does not take (a key that is no string, a value that is no JSON, a
-    subclass of dict or list, a cycle) goes through ``json.dump`` itself,
-    which writes it or raises its own error.
+    :func:`_write_json` builds the same text block by block, and ``json``
+    spells its scalars. A payload it does not take (a key that is no string,
+    a value that is no JSON, a subclass of dict or list, a cycle, nesting
+    that raises ``RecursionError``) goes through ``json.dump`` itself, which
+    writes it or raises its own error.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -105,28 +103,15 @@ def dump_json(payload, path) -> None:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONTAINERS = {dict, list, tuple}
 _JSON_BLOCK = 64  # list items encoded per write
-_JSON_DEPTH = 200  # containers nested deeper go to json.dump, which fails where it must
 
 
 def _scalar(value) -> str:
-    """``json``'s text for a string, number, bool or None; TypeError for anything else."""
-    if isinstance(value, str):
-        return _ESCAPE(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    raise TypeError(f"{type(value).__name__} is no JSON scalar")
+    """``json``'s text for a value; TypeError for a container, subclasses too, which json.dump indents."""
+    if isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"{type(value).__name__} is no JSON scalar")
+    return json.dumps(value)
 
 
 def _write_json(value, pad: str, write) -> None:
@@ -136,8 +121,6 @@ def _write_json(value, pad: str, write) -> None:
     :data:`_JSON_BLOCK` items at a time; :func:`_texts` builds each block
     and anything else.
     """
-    if len(pad) > 2 * _JSON_DEPTH:
-        raise RecursionError("nested too deeply")
     inner = pad + "  "
     if type(value) is dict and not _CONTAINERS.isdisjoint(map(type, value.values())):
         after = "\n" + inner
@@ -165,8 +148,6 @@ def _texts(items, pad: str) -> list[str]:
     lists in one call; objects with the same keys, in the same order, in
     one call per key and one format. Anything else is encoded item by item.
     """
-    if len(pad) > 2 * _JSON_DEPTH:
-        raise RecursionError("nested too deeply")
     if not items:
         return []
     kinds = set(map(type, items))
@@ -456,6 +437,8 @@ def load_manifest(path, text: str | None = None) -> Manifest:
     for i, item in enumerate(json_field(payload, "modalities", top, list, [])):
         where = f"{path}: modality {i}"
         name = json_field(item, "name", where, str)
+        if not name:
+            raise ValueError(f"{where}: 'name' must be a nonempty string")
         scores_path = json_field(item, "scores_path", where, str)
         if name in seen:
             raise ValueError(f"{path}: duplicate modality {name!r}")
@@ -548,9 +531,11 @@ def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) 
                 emb_ids, _, emb_values = parsed
                 check_ids(emb_ids, entry.embeddings_path)
                 emb_matrix = EmbeddingMatrix(emb_values)
-        records.append(
-            ModalityRecord(entry.name, ScoreMatrix(values, tuple(columns)), emb_matrix)
-        )
+        try:
+            scores = ScoreMatrix(values, tuple(columns))
+        except ValueError as err:  # a single class column
+            raise ValueError(f"{scores_file}: {err}") from None
+        records.append(ModalityRecord(entry.name, scores, emb_matrix))
 
     label_vector = None
     if manifest.labels_path:

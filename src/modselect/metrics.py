@@ -67,7 +67,12 @@ def pair_mmd(h_m, h_n) -> float:
     b = as_matrix(h_n, EmbeddingMatrix)
     if a.shape[1] != b.shape[1]:
         raise ValueError("incomparable embedding spaces")
-    return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
+    return _mean_distance(a.mean(axis=0), b.mean(axis=0))
+
+
+def _mean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The Euclidean distance between two mean vectors."""
+    return float(np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,36 +140,32 @@ def correlation_matrix(bundle: Bundle) -> PairMetricMatrix:
     if any(z.shape != scores[0].shape for z in scores):
         raise ValueError("incompatible score matrices")
     moments = [_moments(z) for z in scores]  # once per modality, not per pair
-    n = len(scores)
-    values = np.zeros((n, n))
-    valid = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i, n):
-            rho = _defined_mean(_correlation(moments[i], moments[j]))
-            if rho is None:
-                continue
-            values[i, j] = values[j, i] = rho
-            valid[i, j] = valid[j, i] = True
-    return PairMetricMatrix(bundle.names, values, valid)
+    return _pair_matrix(bundle.names, moments, lambda a, b: _defined_mean(_correlation(a, b)))
 
 
 def mmd_matrix(bundle: Bundle) -> PairMetricMatrix:
     """Mean-embedding discrepancy matrix; entries without comparable embeddings are invalid."""
     # Each modality's mean once, not once per pair.
     means = [None if rec.embeddings is None else rec.embeddings.values.mean(axis=0) for rec in bundle.modalities]
-    n = len(means)
+
+    def discrepancy(a, b) -> float | None:  # pair_mmd's value
+        return None if a is None or b is None or a.size != b.size else _mean_distance(a, b)
+
+    return _pair_matrix(bundle.names, means, discrepancy)
+
+
+def _pair_matrix(names, items, metric) -> PairMetricMatrix:
+    """``metric(items[i], items[j])`` for every pair i <= j, mirrored; invalid where it is None."""
+    n = len(items)
     values = np.zeros((n, n))
     valid = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        if means[i] is None:
-            continue
         for j in range(i, n):
-            if means[j] is None or means[i].size != means[j].size:
-                continue
-            d = float(np.linalg.norm(means[i] - means[j]))  # pair_mmd's value
-            values[i, j] = values[j, i] = d
-            valid[i, j] = valid[j, i] = True
-    return PairMetricMatrix(bundle.names, values, valid)
+            value = metric(items[i], items[j])
+            if value is not None:
+                values[i, j] = values[j, i] = value
+                valid[i, j] = valid[j, i] = True
+    return PairMetricMatrix(names, values, valid)
 
 
 def aggregate(pairs: PairMetricMatrix, modality: str, exclude_self: bool = True) -> float:

@@ -154,7 +154,7 @@ class TestAccuracyTable:
                 ("a", "b"), {("a",): 0.5, ("b",): 0.7, ("a", "b"): bad}
             )
 
-    @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5]])
+    @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5], pytest.param(10**400, id="int-beyond-float")])
     def test_a_value_that_is_no_number_is_rejected(self, bad):
         averaged = {("a",): 0.5, ("b",): bad, ("a", "b"): 0.8}
         with pytest.raises(ValueError, match=rf"^accuracy for \('b',\) must be a finite number, not {re.escape(repr(bad))}$"):

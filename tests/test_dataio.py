@@ -142,6 +142,7 @@ def test_manifest_names_missing_modality_field(tmp_path, modality, field):
     [
         ({"modalities": 5}, "modalities"),
         ({"modalities": [{"name": ["m"], "scores_path": "s.csv"}]}, "name"),
+        ({"modalities": [{"name": "", "scores_path": "s.csv"}]}, "name"),
         ({"class_names": 5}, "class_names"),
         ({"class_names": ["a", 5]}, "class_names"),
         ({"modalities": [{"name": "m", "scores_path": 5}]}, "scores_path"),
@@ -150,8 +151,8 @@ def test_manifest_names_missing_modality_field(tmp_path, modality, field):
         ({"dataset": []}, "dataset"),
     ],
     ids=[
-        "modalities", "name", "class_names", "class_name", "scores_path", "embeddings_path", "labels_path",
-        "dataset",
+        "modalities", "name", "empty_name", "class_names", "class_name", "scores_path", "embeddings_path",
+        "labels_path", "dataset",
     ],
 )
 def test_manifest_rejects_a_mistyped_field(tmp_path, change, field):
@@ -211,6 +212,14 @@ def test_class_column_mismatch(tmp_path, rng):
     )
     with pytest.raises(ValueError, match="class columns"):
         load_bundle(tmp_path / "manifest.json")
+
+
+def test_a_scores_file_with_one_class_is_named(tmp_path):
+    write_matrix_csv(tmp_path / "s.csv", np.ones((4, 1)), ["only"])
+    dump_json({"modalities": [{"name": "m", "scores_path": "s.csv"}]}, tmp_path / "manifest.json")
+    with pytest.raises(ValueError) as err:
+        load_bundle(tmp_path / "manifest.json")
+    assert str(err.value) == f"{(tmp_path / 's.csv').resolve()}: scores need at least two classes"
 
 
 def test_matrix_csv_malformed(tmp_path):
@@ -380,6 +389,7 @@ def test_dump_json_writes_long_lists_and_deep_nesting_as_json_dump(tmp_path):
         list(range(1000)),
         [{"combination": ["a"] * (k % 5), "averaged": k / 7} for k in range(300)],
         [{"a": 1}, {True: 2}, {1.0: 3}, {"a": [1], "b": {}}, {}],
+        {"counts": Counter(a=2), "rows": [Counter(b=1), Counter()]},  # subclasses, which json.dump indents
         deep,
     ]
     for payload in cases:
@@ -402,6 +412,47 @@ def test_dump_json_raises_json_dump_s_error(tmp_path):
         want = json_dump_file(payload, tmp_path / "want.json")
         assert kind is None or want[1][0] is kind
         assert dump_json_file(payload, tmp_path / "got.json") == want
+
+
+def nested(shape, depth):
+    """A payload ``depth`` containers deep: lists, dicts that hold containers, or ``[k, {"a": ...}]`` links."""
+    value = 0
+    for k in range(depth):
+        if shape == "list":
+            value = [value]
+        elif shape == "dict":
+            value = {"a": [value]} if k % 2 else {"a": value}
+        else:
+            value = [k, {"a": value}]
+    return value
+
+
+@pytest.mark.parametrize("shape", ["list", "dict", "chain"])
+def test_dump_json_hands_deep_nesting_to_json_dump(tmp_path, monkeypatch, shape):
+    # Deep enough, the writer raises RecursionError; json.dump then writes the
+    # payload or raises its own error. Near the limit json.dump may fail inside
+    # dump_json, a frame deeper, where it succeeds when called directly.
+    json_dump, raised = json.dump, []
+
+    def dump(*args, **kwargs):
+        try:
+            return json_dump(*args, **kwargs)
+        except Exception as err:
+            raised.append(type(err))
+            raise
+
+    for depth in (100, 300, 500, 700, 900, 1200):
+        payload = nested(shape, depth)
+        want = json_dump_file(payload, tmp_path / "want.json")
+        raised.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dump", dump)
+            got = dump_json_file(payload, tmp_path / "got.json")
+        if got[1] is None:
+            assert got == want, depth
+        else:
+            assert raised == [got[1][0]], depth
+    assert want[1] is not None and want[1][0] is RecursionError  # the deepest payload is beyond json.dump
 
 
 def test_dump_json_holds_a_small_part_of_a_large_table(tmp_path):

@@ -187,6 +187,15 @@ def test_scenario_rejects_a_modality_name_that_cannot_name_a_file(name):
     assert repr(name) in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), pytest.param(10**400, id="int-beyond-float")])
+def test_scenario_rejects_a_number_that_is_not_finite(bad):
+    payload = default_scenario().to_dict()
+    payload["modalities"][3]["accuracy"] = bad  # random1's, which generate never reads
+    with pytest.raises(ValueError) as err:
+        Scenario.from_dict(payload)
+    assert str(err.value) == f"scenario modality: 'accuracy' must be a finite number, not {bad!r}"
+
+
 def test_scenario_dict_round_trip():
     scenario = default_scenario(seed=9, samples=123)
     clone = Scenario.from_dict(scenario.to_dict())
