@@ -28,7 +28,7 @@ payload it does not take, or one nested deeply enough to raise
 
 The files of a bundle are written and read in forked processes, one share
 of the files per CPU the process may use, through ``parallel._each``, the
-primitive that also runs the fusion sweep's rules; ``taskset -c 0`` keeps
+primitive that also walks the fusion sweep's runs; ``taskset -c 0`` keeps
 them in one process.
 """
 

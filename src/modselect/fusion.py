@@ -75,17 +75,6 @@ _FOLDS = {
 }
 # The rules whose members' terms are the scores themselves.
 _RAW = {s for s in FusionStrategy if s not in _FOLDS or _FOLDS[s][0] is np.asarray}
-# The rules from the costliest sweep walk to the cheapest, so that dealing
-# them out in turn gives each CPU a like share: median, then Borda, then
-# the squares' and the plain folds.
-_COST_ORDER = (
-    FusionStrategy.MEDIAN,
-    FusionStrategy.BORDA_COUNT,
-    FusionStrategy.SQUARED_SUM,
-    FusionStrategy.PRODUCT,
-    FusionStrategy.SUM,
-    FusionStrategy.MAXIMUM,
-)
 
 
 @functools.cache
@@ -226,14 +215,29 @@ def mpca(pred, truth, n_classes: int) -> float:
 def _mpca(right: np.ndarray, truth: np.ndarray, occurrences: np.ndarray, present: np.ndarray) -> float:
     # mpca without the checks, given which samples are predicted right, the
     # per-class counts of ``truth`` and the mask of the classes that occur.
-    # The sum over the count is np.mean with the same bits.
-    correct = np.bincount(truth[right], minlength=occurrences.size)
+    # The hits are counted as float weights, exact integers, so the rates
+    # keep their bits; the sum over the count is np.mean with the same bits.
+    correct = np.bincount(truth, weights=right, minlength=occurrences.size)
     rates = correct[present] / occurrences[present]
     return float(np.add.reduce(rates) / rates.size)
 
 
 # A sweep fuses 2^M - 1 combinations; callers must opt in above this many modalities.
 MAX_DEFAULT_UNIVERSE = 16
+
+
+def _run_cost(strategy: FusionStrategy, run: list[tuple[int, ...]]) -> int:
+    # The work of one run of a rule's walk, in passes over a C x S matrix.
+    # Each combination is scored once, which counts as 6 passes (max.reduce,
+    # equal, take, the tie count and the per-class hits), and fused: a fold
+    # step is 1 pass, a median of k members the min and max calls of its
+    # network. At M = 8 that gives 247 * 7 = 1729 passes for a fold walk and
+    # 3758 for the median walk, 2.17 times as many; with the add and the
+    # halving of the two middles of an even k (2 more passes each) it would
+    # be 2.32 times. The median walk measured 2.3-2.5 times a fold walk.
+    if strategy is FusionStrategy.MEDIAN:
+        return sum(6 + len(_median_network(len(combo))[0]) for combo in run)
+    return 7 * len(run)
 
 
 def sweep(
@@ -251,17 +255,20 @@ def sweep(
     prefix's fused scores, with the same bits as ``fuse`` but for the sign
     of a zero; median runs the pruned sorting network of ``_median`` on
     each combination's members.
-    Both write into output matrices allocated once per rule. Each
-    combination is scored with whole-row operations and no argmax: a sample
-    is right when its true class reaches the column maximum and no class
-    before it ties that maximum, which is argmax's rule; a combination with
-    a NaN maximum is scored by argmax itself.
-    The terms are built in the calling process. The rules' walks are
-    independent, so they are dealt out, costliest first, over the CPUs the
-    process may use through ``parallel._each``: on two CPUs median, sqsum
-    and sum run here and Borda, product and max in one forked child, which
-    sends back one list of accuracies per rule. On one CPU (``taskset -c
-    0``) the rules run one after another in this process. Either way the
+    Both write into n + 1 output matrices that each process allocates once.
+    Each combination is scored with whole-row operations and no argmax: a
+    sample is right when its true class reaches the column maximum and no
+    class before it ties that maximum, which is argmax's rule (the tie test
+    runs only where some maximum is reached twice); a combination with a
+    NaN maximum is scored by argmax itself.
+    The terms are built in the calling process. In lexicographic order the
+    combinations that start with modality i are one run, which begins at
+    (i, i + 1) with ``terms[i]`` as its prefix, so the runs share no state.
+    Each (rule, run) pair is one item for ``parallel._each``, which deals
+    the items over the CPUs the process may use by their counted cost
+    (``_run_cost``), so that each CPU walks a like share; a forked child
+    sends back one list of accuracies per item. On one CPU (``taskset -c
+    0``) the items run one after another in this process. Either way the
     table holds the same bits.
     More than ``MAX_DEFAULT_UNIVERSE`` modalities need ``allow_large=True``.
     """
@@ -300,22 +307,26 @@ def sweep(
             return _mpca(np.argmax(scores, axis=0) == truth, truth, occurrences, present)
         np.equal(scores, best, out=ties)
         ties.take(at_truth, out=right)  # the true class reaches the maximum
-        np.logical_and(ties, before, out=ties)
-        np.logical_or.reduce(ties, axis=0, out=tied)  # a class before it does too
-        return _mpca(np.greater(right, tied, out=right), truth, occurrences, present)  # right and not tied
+        if np.count_nonzero(ties) > n_samples:  # some sample's maximum is tied
+            np.logical_and(ties, before, out=ties)
+            np.logical_or.reduce(ties, axis=0, out=tied)  # a class before it does too
+            np.greater(right, tied, out=right)  # right and not tied
+        return _mpca(right, truth, occurrences, present)
 
-    # A rule writes into output matrices allocated once for its walk: median
-    # sorts k members in k + 1 of them, and a fold keeps the fused scores of
-    # a combination of k members in rows[k - 2] while its extensions are
-    # walked. The folds and the network never write into their inputs.
-    shape = (n_classes, n_samples)
+    # The walks write into output matrices that each process allocates once,
+    # on first use: median sorts k members in k + 1 of them, and a fold keeps
+    # the fused scores of a combination of k members in rows[k - 2] while its
+    # extensions are walked. The folds and the network never write into
+    # their inputs.
+    shape, rows = (n_classes, n_samples), []
 
-    def walk(strategy: FusionStrategy, terms: list[np.ndarray]) -> list[float]:
+    def walk(strategy: FusionStrategy, terms: list[np.ndarray], run: list[tuple[int, ...]]) -> list[float]:
+        if not rows:
+            rows.extend(np.empty(shape) for _ in range(n + 1))
         if strategy is FusionStrategy.MEDIAN:
-            rows = [np.empty(shape) for _ in range(n + 1)]
-            return [accuracy(_median([terms[i] for i in combo], rows)) for combo in combos]
-        fold, rows, accuracies = _FOLDS[strategy][1], [np.empty(shape) for _ in range(n - 1)], []
-        for combo in combos:
+            return [accuracy(_median([terms[i] for i in combo], rows)) for combo in run]
+        fold, accuracies = _FOLDS[strategy][1], []
+        for combo in run:
             prefix = terms[combo[0]] if len(combo) == 2 else rows[len(combo) - 3]
             accuracies.append(accuracy(fold(prefix, terms[combo[-1]], out=rows[len(combo) - 2])))
         return accuracies
@@ -325,16 +336,19 @@ def sweep(
     # points first, before the scores' copies exist.
     terms = {s: [np.ascontiguousarray(fuse(s, [m]).T) for m in matrices] for s in strategy_list if s not in _RAW}
     columns = [np.ascontiguousarray(m.T) for m in matrices]
-    rules = sorted(strategy_list, key=_COST_ORDER.index)
     # Depth first, which is lexicographic order: a combination comes after
     # its prefix, and the combinations in between are longer than the
     # prefix, so the prefix's fused scores are still in their row.
     combos = sorted(c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
-    keys = [tuple(names[i] for i in c) for c in combos]
+    # One run per first member i: it begins at (i, i + 1), whose prefix is
+    # terms[i], so a run reads no row that another run wrote.
+    runs = [list(run) for _, run in itertools.groupby(combos, key=lambda c: c[0])]
+    keys = {c: tuple(names[i] for i in c) for c in combos}
+    items = [(s, terms.get(s, columns), run) for s in strategy_list for run in runs]
+    walked = _each(walk, items, [_run_cost(s, run) for s, _, run in items])
     per_strategy = {}
-    if combos:  # one modality has nothing to fuse: no walk, no fork
-        for strategy, accuracies in zip(rules, _each(walk, [(s, terms.get(s, columns)) for s in rules])):
-            per_strategy.update(zip([(key, strategy.value) for key in keys], accuracies))
+    for (strategy, _, run), accuracies in zip(items, walked):
+        per_strategy.update(zip([(keys[c], strategy.value) for c in run], accuracies))
     for name, acc in zip(names, [first] + [accuracy(m) for m in columns[1:]]):
         per_strategy.update({((name,), s.value): acc for s in strategy_list})
     return AccuracyTable.from_per_strategy(names, [s.value for s in strategy_list], per_strategy)

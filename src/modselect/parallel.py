@@ -5,7 +5,7 @@ the process may use (``os.sched_getaffinity``): the caller computes one
 share and each forked child another, and results come back pickled, in item
 order. Items are dealt out by cost, items of equal cost in turn.
 ``dataio`` writes and reads the files of a bundle through it, and
-``fusion.sweep`` walks its rules through it. On one CPU (``taskset -c 0``)
+``fusion.sweep`` walks its rules' runs through it. On one CPU (``taskset -c 0``)
 nothing is forked: the items run one after another in the caller, and the
 results are the same.
 """

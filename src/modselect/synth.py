@@ -101,11 +101,11 @@ class ModalitySpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "ModalitySpec":
-        """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it."""
+    def from_dict(cls, payload: Mapping, where: str = "scenario modality") -> "ModalitySpec":
+        """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming ``where`` and it."""
         kinds = get_type_hints(cls)
         return cls(**{
-            f.name: json_field(payload, f.name, "scenario modality", kinds[f.name],
+            f.name: json_field(payload, f.name, where, kinds[f.name],
                                *(() if f.default is MISSING else (f.default,)))
             for f in fields(cls)
         })
@@ -157,7 +157,10 @@ class Scenario:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Scenario":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises ``ValueError`` naming it."""
-        specs = tuple(map(ModalitySpec.from_dict, json_field(payload, "modalities", "scenario", list)))
+        specs = tuple(
+            ModalitySpec.from_dict(spec, f"scenario: modalities[{i}]")
+            for i, spec in enumerate(json_field(payload, "modalities", "scenario", list))
+        )
         for i, spec in enumerate(specs):  # names become file names in the bundle synth writes
             if not names_a_file(spec.name):
                 raise ValueError(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modselect import dataio
+from modselect import dataio, default_scenario
 from modselect.cli import main
 
 
@@ -269,6 +269,26 @@ def test_synth_scenario_names_a_mistyped_field(tmp_path, capsys, scenario, field
     assert run_cli("synth", "--scenario", path, "--out-dir", tmp_path / "b") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and f"{field!r}" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("accuracy", "high", "scenario: modalities[2]: 'accuracy' must be a finite number, not 'high'"),
+        ("kind", None, "scenario: modalities[2] has no 'kind' field"),
+    ],
+    ids=["mistyped", "missing"],
+)
+def test_synth_scenario_names_the_modality_of_a_bad_field(tmp_path, capsys, field, value, message):
+    scenario = default_scenario().to_dict()
+    if value is None:
+        del scenario["modalities"][2][field]
+    else:
+        scenario["modalities"][2][field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli("synth", "--scenario", path, "--out-dir", tmp_path / "b") == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_limbs_skeleton_must_be_a_list_of_pairs(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_scenario_rejects_a_number_that_is_not_finite(bad):
     payload["modalities"][3]["accuracy"] = bad  # random1's, which generate never reads
     with pytest.raises(ValueError) as err:
         Scenario.from_dict(payload)
-    assert str(err.value) == f"scenario modality: 'accuracy' must be a finite number, not {bad!r}"
+    assert str(err.value) == f"scenario: modalities[3]: 'accuracy' must be a finite number, not {bad!r}"
 
 
 def test_scenario_dict_round_trip():
