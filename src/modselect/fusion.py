@@ -65,7 +65,8 @@ def _borda_points(matrix: np.ndarray) -> np.ndarray:
 
 # Per rule other than median: the term each member contributes to the fused
 # scores, and the ufunc that folds a term into the scores so far. Folding
-# left to right gives the same bits as numpy's reduction over a stack.
+# left to right gives the same bits as numpy's reduction over a stack. The
+# sweep folds with these ufuncs, over terms of its own.
 _FOLDS = {
     FusionStrategy.SUM: (np.asarray, np.add),
     FusionStrategy.SQUARED_SUM: (lambda m: m * m, np.add),
@@ -73,8 +74,6 @@ _FOLDS = {
     FusionStrategy.MAXIMUM: (np.asarray, np.maximum),
     FusionStrategy.BORDA_COUNT: (_borda_points, np.add),
 }
-# The rules whose members' terms are the scores themselves.
-_RAW = {s for s in FusionStrategy if s not in _FOLDS or _FOLDS[s][0] is np.asarray}
 
 
 @functools.cache
@@ -230,13 +229,17 @@ def _run_cost(strategy: FusionStrategy, run: list[tuple[int, ...]]) -> int:
     # The work of one run of a rule's walk, in passes over a C x S matrix.
     # Each combination is scored once, which counts as 6 passes (max.reduce,
     # equal, take, the tie count and the per-class hits), and fused: a fold
-    # step is 1 pass, a median of k members the min and max calls of its
-    # network. At M = 8 that gives 247 * 7 = 1729 passes for a fold walk and
-    # 3758 for the median walk, 2.17 times as many; with the add and the
-    # halving of the two middles of an even k (2 more passes each) it would
-    # be 2.32 times. The median walk measured 2.3-2.5 times a fold walk.
+    # step is 1 pass, and squared sum squares each step's new member (1 more
+    # pass) and the run's first member; a median of k members costs the min
+    # and max calls of its network, plus the add and the halving of the two
+    # middles of an even k. At M = 8 that gives 247 * 7 = 1729 passes for a
+    # fold walk and 4012 for the median walk, 2.32 times as many; the median
+    # walk measured 2.3-2.5 times a fold walk.
     if strategy is FusionStrategy.MEDIAN:
-        return sum(6 + len(_median_network(len(combo))[0]) for combo in run)
+        networks = (_median_network(len(combo)) for combo in run)
+        return sum(6 + len(ops) + 2 * (len(middle) - 1) for ops, middle in networks)
+    if strategy is FusionStrategy.SQUARED_SUM:
+        return 8 * len(run) + 1
     return 7 * len(run)
 
 
@@ -248,22 +251,24 @@ def sweep(
     """Evaluate every nonempty modality combination under every strategy.
 
     Singleton combinations involve no fusion, so they are evaluated once and
-    replicated across strategies. The sweep works on class-major (C x S)
-    copies of each rule's member terms (the scores, their squares or their
-    Borda points, built once per rule). Each strategy walks the combinations
-    depth first: a combination folds its last member's term into its
-    prefix's fused scores, with the same bits as ``fuse`` but for the sign
-    of a zero; median runs the pruned sorting network of ``_median`` on
-    each combination's members.
+    replicated across strategies. The sweep works on one class-major (C x S)
+    float64 copy of each modality's scores, plus, for Borda, each member's
+    points in the narrowest unsigned integer type that holds C - 1. Each
+    strategy walks the combinations depth first: a combination folds its
+    last member's term into its prefix's fused scores, in float64, with the
+    same bits as ``fuse`` but for the sign of a zero; squared sum squares
+    each new member into a spare row as it goes. Median runs the pruned
+    sorting network of ``_median`` on each combination's members.
     Both write into n + 1 output matrices that each process allocates once.
     Each combination is scored with whole-row operations and no argmax: a
     sample is right when its true class reaches the column maximum and no
     class before it ties that maximum, which is argmax's rule (the tie test
     runs only where some maximum is reached twice); a combination with a
     NaN maximum is scored by argmax itself.
-    The terms are built in the calling process. In lexicographic order the
-    combinations that start with modality i are one run, which begins at
-    (i, i + 1) with ``terms[i]`` as its prefix, so the runs share no state.
+    Borda's points are built in the calling process. In lexicographic order
+    the combinations that start with modality i are one run, which begins
+    at (i, i + 1) with ``terms[i]`` as its prefix, so the runs share no
+    state.
     Each (rule, run) pair is one item for ``parallel._each``, which deals
     the items over the CPUs the process may use by their counted cost
     (``_run_cost``), so that each CPU walks a like share; a forked child
@@ -316,8 +321,8 @@ def sweep(
     # The walks write into output matrices that each process allocates once,
     # on first use: median sorts k members in k + 1 of them, and a fold keeps
     # the fused scores of a combination of k members in rows[k - 2] while its
-    # extensions are walked. The folds and the network never write into
-    # their inputs.
+    # extensions are walked, and squared sum squares each new member into
+    # rows[n]. The folds and the network never write into their inputs.
     shape, rows = (n_classes, n_samples), []
 
     def walk(strategy: FusionStrategy, terms: list[np.ndarray], run: list[tuple[int, ...]]) -> list[float]:
@@ -326,15 +331,28 @@ def sweep(
         if strategy is FusionStrategy.MEDIAN:
             return [accuracy(_median([terms[i] for i in combo], rows)) for combo in run]
         fold, accuracies = _FOLDS[strategy][1], []
+        square = strategy is FusionStrategy.SQUARED_SUM
         for combo in run:
+            out, term = rows[len(combo) - 2], terms[combo[-1]]
             prefix = terms[combo[0]] if len(combo) == 2 else rows[len(combo) - 3]
-            accuracies.append(accuracy(fold(prefix, terms[combo[-1]], out=rows[len(combo) - 2])))
+            if square:  # fuse's term m * m, for a run's first member too
+                if len(combo) == 2:
+                    prefix = np.multiply(prefix, prefix, out=out)
+                term = np.multiply(term, term, out=rows[n])
+            # In float64 whatever the terms' type: two uint8 Borda terms
+            # would otherwise add in uint8 and wrap.
+            accuracies.append(accuracy(fold(prefix, term, out=out, dtype=np.float64)))
         return accuracies
 
-    # Every rule's terms are built here, before any fork, so that the calls
-    # to fuse are made in the calling process: the squares and the Borda
-    # points first, before the scores' copies exist.
-    terms = {s: [np.ascontiguousarray(fuse(s, [m]).T) for m in matrices] for s in strategy_list if s not in _RAW}
+    # Borda's points are built here, before any fork, so that the calls to
+    # fuse are made in the calling process, and before the scores' copies
+    # exist. They are whole numbers below C, held in the narrowest unsigned
+    # type that fits (uint8 up to C = 256); every other rule's terms are the
+    # scores' copies themselves.
+    terms, borda = {}, FusionStrategy.BORDA_COUNT
+    if borda in strategy_list:
+        points = np.min_scalar_type(matrices[0].shape[1] - 1)
+        terms[borda] = [fuse(borda, [m]).T.astype(points, order="C") for m in matrices]
     columns = [np.ascontiguousarray(m.T) for m in matrices]
     # Depth first, which is lexicographic order: a combination comes after
     # its prefix, and the combinations in between are longer than the

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,7 +379,8 @@ def test_sweep_on_every_cpu_count_writes_the_one_cpu_bits(cpus, case, spec):
 
 def test_every_fuse_call_of_a_sweep_runs_in_the_caller(cpus, monkeypatch, tmp_path, rng):
     # A span opened around fuse is seen only in the process that opens it,
-    # so the sweep builds every rule's terms before it forks.
+    # so the sweep builds Borda's points, the only terms it fuses, before it
+    # forks.
     cpus(2)
     log, forks, fork = tmp_path / "fuse.log", [], os.fork
 
@@ -397,7 +399,7 @@ def test_every_fuse_call_of_a_sweep_runs_in_the_caller(cpus, monkeypatch, tmp_pa
     sweep(bundle)
     assert forks == [1]  # one child walked its share of the rules' runs
     calls = sorted(line.split() for line in log.read_text().splitlines())
-    assert calls == sorted([[str(os.getpid()), "sqsum"], [str(os.getpid()), "borda"]] * 4)
+    assert calls == [[str(os.getpid()), "borda"]] * 4
 
 
 def test_a_one_modality_sweep_forks_nothing(cpus, monkeypatch, rng):
@@ -448,6 +450,61 @@ def test_the_sweep_deals_each_rule_in_runs_by_first_member(monkeypatch, n_modali
     for (s, _, run), c in zip(items, costs):
         if s is FusionStrategy.MEDIAN:
             assert all(c > cost[other, tuple(run)] for other in ALL_STRATEGIES if other is not s)
+
+
+@pytest.mark.parametrize("n_classes", [130, 200, 300])
+def test_a_wide_borda_sweep_does_not_wrap(n_classes):
+    # Borda's points are held as uint8 up to C = 256, where two members'
+    # points can sum past 255 (C = 130, 200), and as uint16 above (C = 300).
+    # Every modality lifts the true class, so members often agree on their
+    # top ranks, whose sums a uint8 fold would wrap.
+    rng = np.random.default_rng(n_classes)
+    n_samples = 80
+    labels = rng.integers(0, n_classes, n_samples)
+    scores = []
+    for _ in range(4):
+        x = rng.random((n_samples, n_classes))
+        x[np.arange(n_samples), labels] += rng.random(n_samples)
+        scores.append(x)
+    bundle = make_bundle(scores, labels=labels)
+    table = sweep(bundle)
+    want = np.empty(table.values.shape)
+    for row, combo in enumerate(table.combinations()):
+        selected = [bundle.get(name).scores.values for name in combo]
+        for col, s in enumerate(ALL_STRATEGIES):
+            fused = selected[0] if len(combo) == 1 else fuse(s, selected)
+            want[row, col] = mpca(predict(fused).values, labels, n_classes)
+    assert np.array_equal(table.values, want)
+
+
+@pytest.mark.parametrize("n_modalities, n_samples, n_classes", [(6, 2000, 10), (8, 1000, 20)])
+def test_a_sweep_holds_one_float64_copy_per_modality(cpus, monkeypatch, n_modalities, n_samples, n_classes):
+    # On one CPU every run is walked in this process, so tracemalloc sees the
+    # whole sweep: M class-major copies of the scores, n + 1 output rows,
+    # Borda's points as uint8 and the transients of building them fit in
+    # 2M + 5 C x S float64 matrices. Squares and float64 points would not.
+    cpus(1)
+    calls, each = [], fusion._each
+
+    def recorded(fn, items, cost):
+        calls.append(list(items))
+        return each(fn, calls[-1], cost)
+
+    monkeypatch.setattr(fusion, "_each", recorded)
+    rng = np.random.default_rng(n_modalities)
+    labels = rng.integers(0, n_classes, n_samples)
+    bundle = make_bundle([simplex_rows(rng, n_samples, n_classes) for _ in range(n_modalities)], labels=labels)
+    tracemalloc.start()
+    try:
+        sweep(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * n_modalities + 5) * n_classes * n_samples * 8
+    [items] = calls
+    terms = {s: t for s, t, _ in items}
+    assert terms[FusionStrategy.SQUARED_SUM] is terms[FusionStrategy.SUM]
+    assert [t.dtype for t in terms[FusionStrategy.BORDA_COUNT]] == [np.dtype(np.uint8)] * n_modalities
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
