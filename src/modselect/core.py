@@ -538,7 +538,11 @@ class AccuracyTable:
         try:
             columns = np.fromiter((column[str(s)] for _, s in per_strategy), np.intp, len(per_strategy))
         except KeyError:
-            raise ValueError("per-strategy entries do not cover combinations x strategies") from None
+            combo, strategy = next((c, s) for c, s in per_strategy if str(s) not in column)
+            raise ValueError(
+                "per-strategy entries do not cover combinations x strategies: "
+                f"combination {sorted(combo, key=str)} has unknown strategy {str(strategy)!r}"
+            ) from None
         cells = _floats(per_strategy)
         combos = [c for c, _ in per_strategy]
         values = _fill(universe, len(strategies), combos, columns[:, None], cells[:, None])

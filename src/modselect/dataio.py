@@ -322,10 +322,9 @@ def _finite(fields: Sequence[str]) -> list[float]:
     return values
 
 
-def write_matrix_csv(path, matrix: np.ndarray, column_names: Sequence[str], sample_ids=None) -> None:
+def write_matrix_csv(path, matrix: np.ndarray, column_names: Sequence[str]) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
-    ids = map(str, range(len(matrix))) if sample_ids is None else map(_quote, sample_ids)
-    lines = (f"{sid},{','.join(map(repr, row))}\n" for sid, row in zip(ids, _float_rows(matrix)))
+    lines = (f"{sid},{','.join(map(repr, row))}\n" for sid, row in enumerate(_float_rows(matrix)))
     _write_csv(path, ["sample_id", *column_names], lines)
 
 
@@ -359,10 +358,9 @@ def _matrix_from_records(path, text: str | None = None) -> tuple[list[str], list
     return [row[0] for row in rows], header[1:], np.array(values, dtype=np.float64)
 
 
-def write_labels_csv(path, labels: LabelVector, sample_ids=None) -> None:
-    values = labels.values
-    ids = map(str, range(len(values))) if sample_ids is None else map(_quote, sample_ids)
-    _write_csv(path, ["sample_id", "label"], (f"{sid},{v}\n" for sid, v in zip(ids, values.tolist())))
+def write_labels_csv(path, labels: LabelVector) -> None:
+    lines = (f"{sid},{v}\n" for sid, v in enumerate(labels.values.tolist()))
+    _write_csv(path, ["sample_id", "label"], lines)
 
 
 def _label(row: list[str]) -> int:
@@ -485,66 +483,53 @@ def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) 
     only if ``embeddings``, the labels file only if ``labels``; a file not
     parsed is only hashed, so it is no part of the bundle and only a
     failure to read it is reported. The files are shared out over the CPUs
-    by parse cost. Raises for the first file in manifest order that is
-    unreadable or, if parsed, malformed; raises if sample ids disagree
-    between parsed files, or if the assembled bundle violates an invariant
-    (for example score rows off the probability simplex by more than the
-    tolerance are rejected, never renormalized).
+    by parse cost, and each is checked as it comes back, in manifest order:
+    raises for the first that is unreadable or, if parsed, malformed, its
+    sample ids unlike the first parsed file's included. Raises too if the
+    assembled bundle violates an invariant (for example score rows off the
+    probability simplex by more than the tolerance are rejected, never
+    renormalized).
     """
     manifest_path = Path(manifest_path)
     data, digest = _read_hashed(manifest_path)
     digests = {str(manifest_path): digest}
     manifest = load_manifest(manifest_path, _json_text(manifest_path, data))
 
-    reference_ids: list[str] | None = None
-    reference_file = ""
-
-    def check_ids(ids: list[str], filename: str):
-        nonlocal reference_ids, reference_file
-        if reference_ids is None:
-            reference_ids, reference_file = ids, filename
-        elif ids != reference_ids:
-            raise ValueError(f"sample_id mismatch between {reference_file} and {filename}")
-
-    files = []  # (path, parser, or None for a file only hashed), in manifest order
-    for entry in manifest.modalities:
-        files.append((manifest.resolve(entry.scores_path), read_matrix_csv))
+    files = []  # (role, path in the manifest, parser or None for a file only hashed), in manifest order
+    for i, entry in enumerate(manifest.modalities):
+        files.append((("scores", i), entry.scores_path, read_matrix_csv))
         if entry.embeddings_path:
-            files.append((manifest.resolve(entry.embeddings_path), read_matrix_csv if embeddings else None))
+            files.append((("embeddings", i), entry.embeddings_path, read_matrix_csv if embeddings else None))
     if manifest.labels_path:
-        files.append((manifest.resolve(manifest.labels_path), read_labels_csv if labels else None))
-    loaded = _each(_read_parsed, files, cost=[_parse_cost(*item) for item in files])
+        files.append((("labels", None), manifest.labels_path, read_labels_csv if labels else None))
+    items = [(manifest.resolve(name), parse) for _, name, parse in files]
+    loaded = _each(_read_parsed, items, cost=[_parse_cost(*item) for item in items])
 
-    class_names = manifest.class_names
-    records = []
-    for entry in manifest.modalities:
-        scores_file, digests[entry.scores_path], (ids, columns, values) = next(loaded)
-        check_ids(ids, entry.scores_path)
-        if class_names and tuple(columns) != class_names:
-            raise ValueError(
-                f"{scores_file}: class columns {columns} do not match manifest class_names"
-            )
-        emb_matrix = None
-        if entry.embeddings_path:
-            _, digests[entry.embeddings_path], parsed = next(loaded)
-            if parsed is not None:
-                emb_ids, _, emb_values = parsed
-                check_ids(emb_ids, entry.embeddings_path)
-                emb_matrix = EmbeddingMatrix(emb_values)
-        try:
-            scores = ScoreMatrix(values, tuple(columns))
-        except ValueError as err:  # a single class column
-            raise ValueError(f"{scores_file}: {err}") from None
-        records.append(ModalityRecord(entry.name, scores, emb_matrix))
+    made = {}  # role -> the object built from its file
+    reference = None  # the first parsed file's sample ids and path in the manifest
+    for (role, name, _), (path, digests[name], parsed) in zip(files, loaded):
+        if parsed is None:
+            continue
+        if reference is None:
+            reference = parsed[0], name
+        elif parsed[0] != reference[0]:
+            raise ValueError(f"sample_id mismatch between {reference[1]} and {name}")
+        if role[0] == "scores":
+            _, columns, values = parsed
+            if manifest.class_names and tuple(columns) != manifest.class_names:
+                raise ValueError(f"{path}: class columns {columns} do not match manifest class_names")
+            try:
+                made[role] = ScoreMatrix(values, tuple(columns))
+            except ValueError as err:  # a single class column
+                raise ValueError(f"{path}: {err}") from None
+        else:
+            made[role] = parsed[1] if role[0] == "labels" else EmbeddingMatrix(parsed[2])
 
-    label_vector = None
-    if manifest.labels_path:
-        _, digests[manifest.labels_path], parsed = next(loaded)
-        if parsed is not None:
-            label_ids, label_vector = parsed
-            check_ids(label_ids, manifest.labels_path)
-
-    bundle = Bundle(tuple(records), label_vector, class_names or records[0].scores.class_names)
+    records = tuple(
+        ModalityRecord(entry.name, made["scores", i], made.get(("embeddings", i)))
+        for i, entry in enumerate(manifest.modalities)
+    )
+    bundle = Bundle(records, made.get(("labels", None)), manifest.class_names or records[0].scores.class_names)
     validate_bundle(bundle).raise_if_invalid()
     return bundle, digests
 

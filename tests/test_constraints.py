@@ -1,0 +1,34 @@
+"""Rules every module of the package keeps, read from its source with ``ast``.
+
+Work is shared over CPUs only through ``parallel._each``, which forks: no
+thread pool, no ``multiprocessing``, no subprocess. Nothing is configured
+through environment variables.
+"""
+
+import ast
+from pathlib import Path
+
+import modselect
+
+FORBIDDEN_IMPORTS = {"threading", "multiprocessing", "concurrent", "subprocess"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_threads_subprocesses_environment_or_fork_outside_parallel():
+    forking = set()
+    for path in sorted(Path(modselect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '')}"
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+                assert not roots & FORBIDDEN_IMPORTS, f"{where} imports {sorted(roots)}"
+            elif isinstance(node, ast.ImportFrom):
+                root = (node.module or "").split(".")[0]
+                assert root not in FORBIDDEN_IMPORTS, f"{where} imports {node.module}"
+                names = {alias.name for alias in node.names} if node.module == "os" else set()
+                assert not names & (ENVIRONMENT | {"fork"}), f"{where} imports {sorted(names)} from os"
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                assert node.attr not in ENVIRONMENT, f"{where} reads os.{node.attr}"
+                if node.attr == "fork":
+                    forking.add(path.name)
+    assert forking == {"parallel.py"}

@@ -219,6 +219,12 @@ class TestAccuracyTable:
         with pytest.raises(ValueError, match="strategy names must be distinct"):
             AccuracyTable.from_per_strategy(("a",), ("sum", "sum"), {(("a",), "sum"): 0.5})
 
+    def test_an_unknown_strategy_column_is_a_key_error(self):
+        entries = {(("a",), "sum"): 0.5, (("a",), "max"): 0.5}
+        table = AccuracyTable.from_per_strategy(("a",), ("sum", "max"), entries)
+        with pytest.raises(KeyError, match="unknown strategy 'unknown'"):
+            table.column("unknown")
+
     def test_per_strategy_view_flagged_when_absent(self):
         table = AccuracyTable.from_averaged(
             ("a", "b"), {("a",): 0.5, ("b",): 0.7, ("a", "b"): 0.8}, note="averages only"
@@ -576,6 +582,11 @@ def _reorder_every_other_entry_s_cells(payload):
         entry["strategies"] = dict(reversed(entry["strategies"].items()))
 
 
+def _rename_cell(payload):
+    cells = payload["entries"][4]["strategies"]
+    cells["borda"] = cells.pop("max")
+
+
 def _drop_strategy_list(payload):
     # The cells of a table without strategies are still checked, though unused.
     payload["strategies"] = []
@@ -598,6 +609,7 @@ DAMAGES = {
     "duplicate combination": (_set_combination(["b", "a"], entry=5), False),
     "unknown name": (_set_combination(["a", "z"]), False),
     "cells without a strategy list": (_drop_strategy_list, False),
+    "renamed cell": (_rename_cell, False),
 }
 
 
@@ -611,3 +623,13 @@ def test_a_damaged_stored_table_reads_as_the_per_cell_build(monkeypatch, kind):
     monkeypatch.setattr(core, "_stored", lambda *args: reads.append(one_pass_read(*args)) or reads[-1])
     assert load(AccuracyTable.from_dict, payload) == load(per_cell_from_dict, payload)
     assert [values is not None for values in reads] == [one_pass]
+
+
+def test_a_renamed_cell_names_its_combination_and_strategy():
+    payload = stored(("sum", "max"))
+    DAMAGES["renamed cell"][0](payload)
+    assert load(AccuracyTable.from_dict, payload) == (
+        "ValueError",
+        "per-strategy entries do not cover combinations x strategies: "
+        "combination ['a', 'c'] has unknown strategy 'borda'",
+    )

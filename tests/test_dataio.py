@@ -558,13 +558,9 @@ def test_matrix_writer_matches_csv_writer(tmp_path, data, n_rows, n_cols):
         cell = data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n_cols - 1))
         matrix[cell] = data.draw(SPECIAL)
     columns = data.draw(st.lists(TEXT, min_size=n_cols, max_size=n_cols))
-    ids = data.draw(st.none() | st.lists(TEXT, min_size=min(n_rows, 3), max_size=min(n_rows, 3)))
-    if ids is not None and n_rows > 3:
-        ids += [str(i) for i in range(3, n_rows)]
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, matrix, columns, ids)
-    row_ids = ids if ids is not None else [str(i) for i in range(n_rows)]
-    rows = [[sid, *(repr(float(v)) for v in row)] for sid, row in zip(row_ids, matrix)]
+    write_matrix_csv(path, matrix, columns)
+    rows = [[str(i), *(repr(float(v)) for v in row)] for i, row in enumerate(matrix)]
     assert path.read_bytes() == csv_reference(["sample_id", *columns], rows)
 
 
@@ -594,8 +590,8 @@ def test_table_and_contribution_writers_match_csv_writer(tmp_path, names, seed):
 
 def test_small_writers_match_csv_writer(tmp_path):
     labels = LabelVector(np.array([0, 2, 1]))
-    write_labels_csv(tmp_path / "labels.csv", labels, ["a,b", 'q"', "c\nd"])
-    rows = [["a,b", 0], ['q"', 2], ["c\nd", 1]]
+    write_labels_csv(tmp_path / "labels.csv", labels)
+    rows = [["0", 0], ["1", 2], ["2", 1]]
     assert (tmp_path / "labels.csv").read_bytes() == csv_reference(["sample_id", "label"], rows)
     kp = Keypoints([[1.5, -0.0, 0.5], [1e300, 5e-324, 1.0]])
     write_keypoints_csv(tmp_path / "kp.csv", kp)
@@ -611,13 +607,17 @@ def test_small_writers_match_csv_writer(tmp_path):
 def test_text_fields_holding_carriage_returns_read_back(tmp_path):
     ids, columns = ["x\ry", "\r", "a\r\nb", 'q"\r'], ["c\r", "d"]
     matrix = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0], [0.0, 1.0]])
-    write_matrix_csv(tmp_path / "m.csv", matrix, columns, ids)
+    write_matrix_csv(tmp_path / "m.csv", matrix, columns)
+    assert read_matrix_csv(tmp_path / "m.csv")[1] == columns
+    assert (tmp_path / "m.csv").read_bytes().startswith(b'sample_id,"c\r",d\n0,0.5,0.5\n')
+    # The writers number the rows; sample ids like these come from files written elsewhere.
+    rows = [[sid, *map(repr, row)] for sid, row in zip(ids, matrix.tolist())]
+    (tmp_path / "m.csv").write_bytes(csv_reference(["sample_id", *columns], rows))
     back_ids, back_columns, back = read_matrix_csv(tmp_path / "m.csv")
     assert (back_ids, back_columns, back.tolist()) == (ids, columns, matrix.tolist())
-    write_labels_csv(tmp_path / "labels.csv", LabelVector(np.array([0, 1, 1, 0])), ids)
+    (tmp_path / "labels.csv").write_bytes(csv_reference(["sample_id", "label"], zip(ids, [0, 1, 1, 0])))
     back_ids, labels = read_labels_csv(tmp_path / "labels.csv")
     assert (back_ids, labels.values.tolist()) == (ids, [0, 1, 1, 0])
-    assert (tmp_path / "m.csv").read_bytes().startswith(b'sample_id,"c\r",d\n"x\ry",0.5,0.5\n')
 
 
 # --- Reader errors name the file and line -----------------------------------
@@ -693,6 +693,15 @@ def test_csv_module_errors_name_the_file(tmp_path):
     with pytest.raises(ValueError) as err:
         read_matrix_csv(path)
     assert str(err.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
+def test_a_label_beyond_int64_names_the_file(tmp_path, label):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"sample_id,label\n0,0\n1,{label}\n")
+    with pytest.raises(ValueError) as err:
+        read_labels_csv(path)
+    assert str(err.value) == f"{path}: a label is outside the 64-bit integer range"
 
 
 def square(i):
@@ -819,6 +828,16 @@ def scores_text(header, ids):
 
 MALFORMED = "sample_id,e0\n0,abc\n"
 BAD_LABELS = "sample_id,label\n0,0\n1,two\n"
+# A manifest for the bundle below that names no class_names.
+NO_CLASS_NAMES = json.dumps(
+    {
+        "modalities": [
+            {"name": f"m{i}", "scores_path": f"scores_m{i}.csv", "embeddings_path": f"embeddings_m{i}.csv"}
+            for i in range(3)
+        ],
+        "labels_path": "labels.csv",
+    }
+)
 
 # Each bundle has one or two broken files (new text, or None to delete);
 # load_bundle must report the failure that comes first in manifest order,
@@ -838,6 +857,14 @@ BROKEN = {
         "scores_m2.csv",
     ),
     "bad labels": ({"labels.csv": BAD_LABELS}, "labels.csv"),
+    "one class before malformed embeddings": (
+        {
+            "manifest.json": NO_CLASS_NAMES,
+            "scores_m1.csv": "sample_id,a\n" + "".join(f"{i},1.0\n" for i in range(6)),
+            "embeddings_m1.csv": MALFORMED,
+        },
+        "scores_m1.csv",
+    ),
 }
 
 

@@ -127,6 +127,35 @@ class TestLimbs:
         with pytest.raises(ValueError, match="outside joint range"):
             limbs(kp, 8, 8, skeleton=[(0, 3)])
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            ((2, 2), (2, 6)),  # vertical, both ways
+            ((2, 6), (2, 2)),
+            ((1, 0), (3, 5)),  # steep, both ways
+            ((6, 7), (4, 2)),
+            ((5, 1), (1, 5)),  # diagonal, both ways
+            ((7, 7), (0, 0)),
+        ],
+    )
+    def test_vertical_steep_and_diagonal_segments_are_8_connected(self, start, end):
+        kp = Keypoints([[*start, 1.0], [*end, 1.0]])
+        ys, xs = np.nonzero(limbs(kp, 8, 8, skeleton=[(0, 1)]).values)
+        pixels = set(zip(xs.tolist(), ys.tolist()))
+        assert start in pixels and end in pixels
+        dx, dy = abs(end[0] - start[0]), abs(end[1] - start[1])
+        assert len(pixels) == max(dx, dy) + 1
+        # Along the major axis each step moves one pixel, and the other coordinate at most one.
+        major = 1 if dy >= dx else 0
+        path = sorted(pixels, key=lambda p: p[major])
+        for a, b in zip(path, path[1:]):
+            assert b[major] - a[major] == 1 and abs(b[1 - major] - a[1 - major]) <= 1
+
+    def test_steep_segment_pixels(self):
+        kp = Keypoints([[1.0, 0.0, 1.0], [3.0, 5.0, 1.0]])
+        ys, xs = np.nonzero(limbs(kp, 8, 8, skeleton=[(0, 1)]).values)
+        assert list(zip(xs.tolist(), ys.tolist())) == [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 5)]
+
     def test_segment_clipped_to_frame(self):
         kp = Keypoints([[-5.0, 2.0, 1.0], [3.0, 2.0, 1.0]])
         image = limbs(kp, 6, 6, skeleton=[(0, 1)])

@@ -214,6 +214,14 @@ def test_aggregated_from_matrices_handles_missing(rng):
     )
 
 
+def test_aggregated_from_matrices_without_discrepancies(rng):
+    bundle = _mixed_bundle(rng)
+    correlations = correlation_matrix(bundle)
+    agg = aggregated_from_matrices(correlations)
+    assert agg.mmd == dict.fromkeys(("a", "b", "c", "d"))
+    assert agg.rho == aggregated_from_matrices(correlations, mmd_matrix(bundle)).rho
+
+
 def test_coupling_sweep_increases_correlation():
     rhos = []
     for coupling in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -294,6 +294,17 @@ class TestPairsSelect:
             f"modality {name!r} has no comparable partners" for name in names
         ]
 
+    def test_without_a_discrepancy_matrix_pairs_are_judged_on_correlation(self):
+        names = ("a", "b", "c")
+        rho = _pair_matrix(names, {("a", "b"): 0.9, ("a", "c"): 0.1, ("b", "c"): 0.1, "self": 1.0})
+        report = pairs_select(rho, config=ThresholdConfig(delta_rho=0.5))
+        assert [(d.basis, d.mmd) for d in report.decisions] == [("correlation-only", None)] * 3
+        assert report.mmd_threshold.source == "unavailable"
+        assert report.selected == (("a", "b"),)
+        assert report.notes == tuple(
+            f"modality {name!r} judged on correlation alone (no comparable embeddings)" for name in names
+        )
+
     def test_needs_alternatives(self):
         rho = PairMetricMatrix(("solo",), np.ones((1, 1)), np.ones((1, 1), dtype=bool))
         with pytest.raises(ValueError, match="selection needs alternatives"):
