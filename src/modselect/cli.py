@@ -8,7 +8,7 @@ from pathlib import Path
 
 from . import __version__
 from . import dataio
-from .core import AccuracyTable
+from .core import AccuracyTable, _tool_block
 from .encode import (
     DEFAULT_DETECTION_CLASSES,
     DEFAULT_SKELETON,
@@ -22,10 +22,6 @@ from .fusion import ALL_STRATEGIES, parse_strategies, sweep
 from .quantify import contribution_report
 from .select import CONSENSUS_MODES, SELECTION_MODES, ThresholdConfig, run_modselect
 from .synth import Scenario, default_scenario, generate
-
-
-def _tool_block() -> dict:
-    return {"name": "modselect", "version": __version__}
 
 
 def _sweep_manifest(args) -> tuple[AccuracyTable, dict, list[str]]:

@@ -11,7 +11,14 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
+
 SIMPLEX_TOL = 1e-6
+
+
+def _tool_block() -> dict:
+    """The ``tool`` block of every JSON report the package writes."""
+    return {"name": "modselect", "version": __version__}
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -529,7 +529,7 @@ def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) 
         ModalityRecord(entry.name, made["scores", i], made.get(("embeddings", i)))
         for i, entry in enumerate(manifest.modalities)
     )
-    bundle = Bundle(records, made.get(("labels", None)), manifest.class_names or records[0].scores.class_names)
+    bundle = Bundle(records, made.get(("labels", None)), manifest.class_names)
     validate_bundle(bundle).raise_if_invalid()
     return bundle, digests
 

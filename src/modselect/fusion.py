@@ -63,16 +63,25 @@ def _borda_points(matrix: np.ndarray) -> np.ndarray:
     return points
 
 
-# Per rule other than median: the term each member contributes to the fused
-# scores, and the ufunc that folds a term into the scores so far. Folding
-# left to right gives the same bits as numpy's reduction over a stack. The
-# sweep folds with these ufuncs, over terms of its own.
+# Per rule other than median, the ufunc with which the sweep folds a
+# member's term into its prefix's fused scores: a left fold gives the bits of
+# numpy's reduction over a stack, but for the sign of a zero.
 _FOLDS = {
-    FusionStrategy.SUM: (np.asarray, np.add),
-    FusionStrategy.SQUARED_SUM: (lambda m: m * m, np.add),
-    FusionStrategy.PRODUCT: (np.asarray, np.multiply),
-    FusionStrategy.MAXIMUM: (np.asarray, np.maximum),
-    FusionStrategy.BORDA_COUNT: (_borda_points, np.add),
+    FusionStrategy.SUM: np.add,
+    FusionStrategy.SQUARED_SUM: np.add,
+    FusionStrategy.PRODUCT: np.multiply,
+    FusionStrategy.MAXIMUM: np.maximum,
+    FusionStrategy.BORDA_COUNT: np.add,
+}
+
+# Each rule's definition: numpy's reduction over the stacked members.
+_REDUCTIONS = {
+    FusionStrategy.SUM: lambda stack: stack.sum(axis=0),
+    FusionStrategy.SQUARED_SUM: lambda stack: (stack * stack).sum(axis=0),
+    FusionStrategy.PRODUCT: lambda stack: np.prod(stack, axis=0),
+    FusionStrategy.MAXIMUM: lambda stack: stack.max(axis=0),
+    FusionStrategy.MEDIAN: lambda stack: np.median(stack, axis=0),
+    FusionStrategy.BORDA_COUNT: lambda stack: sum(_borda_points(m) for m in stack),
 }
 
 
@@ -130,19 +139,15 @@ def _median_network(k: int) -> tuple[tuple, tuple[int, ...]]:
 
 
 def _median(members: list[np.ndarray], rows: list[np.ndarray]) -> np.ndarray:
-    # np.median over the k members, cell by cell, with the same bits, but
-    # for the sign of a zero: np.median never returns -0.0, this may. fuse
-    # adds +0.0 to match; the sweep does not, as argmax and equality do not
-    # tell the two zeros apart. The pruned network of
-    # _median_network runs min and max on whole matrices, where numpy's sort
-    # along the member axis makes one call per cell. Min and max are exact
-    # and propagate NaN, and every output of a sorting network depends on
-    # every input, so a cell is NaN wherever a member is, as in np.median.
+    # np.median over the k >= 2 members, cell by cell, with the same bits,
+    # but for the sign of a zero: np.median never returns -0.0, this may;
+    # argmax and equality do not tell the two zeros apart. The pruned network
+    # of _median_network runs min and max on whole matrices, where numpy's
+    # sort along the member axis makes one call per cell. Min and max are
+    # exact and propagate NaN, and every output of a sorting network depends
+    # on every input, so a cell is NaN wherever a member is, as in np.median.
     # The network writes into ``rows``, k + 1 matrices of the members' shape
     # that share no memory with them; the result is one of those rows.
-    if len(members) == 1:
-        np.copyto(rows[0], members[0])
-        return rows[0]
     ops, middle = _median_network(len(members))
     wires = [*members, *rows]
     for minmax, a, b, out in ops:
@@ -156,30 +161,19 @@ def _median(members: list[np.ndarray], rows: list[np.ndarray]) -> np.ndarray:
 def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
     """Combine per-modality score matrices into one fused score matrix.
 
-    The fused rows are not renormalized to the simplex; only their argmax is
-    meaningful downstream. Borda count returns summed rank points.
+    Each rule is numpy's reduction over the stacked members: their sum, the
+    sum of their squares, their product, maximum or median, and for Borda
+    count the sum of each member's rank points. The fused rows are not
+    renormalized to the simplex; only their argmax is meaningful downstream.
     """
     matrices = [as_matrix(s) for s in scores]
     if not matrices:
         raise ValueError("fuse needs at least one score matrix")
-    shape = matrices[0].shape
-    if any(m.shape != shape for m in matrices):
+    if any(m.shape != matrices[0].shape for m in matrices):
         raise ValueError("incompatible score matrices")
-    if strategy is FusionStrategy.MEDIAN:
-        fused = _median(matrices, [np.empty(shape) for _ in range(len(matrices) + 1)])
-    elif strategy in _FOLDS:
-        term, fold = _FOLDS[strategy]
-        fused = np.array(term(matrices[0]))  # a copy, never the caller's matrix
-        for m in matrices[1:]:
-            fold(fused, term(m), out=fused)
-    else:
+    if strategy not in _REDUCTIONS:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy in (FusionStrategy.SUM, FusionStrategy.MEDIAN):
-        # np.sum and np.median add from +0.0, so they turn a -0.0 the fold
-        # or the network leaves into +0.0; the other rules' terms and folds
-        # already give numpy's zeros.
-        np.add(fused, 0.0, out=fused)
-    return fused
+    return _REDUCTIONS[strategy](np.stack(matrices))
 
 
 def predict(scores) -> LabelVector:
@@ -330,7 +324,7 @@ def sweep(
             rows.extend(np.empty(shape) for _ in range(n + 1))
         if strategy is FusionStrategy.MEDIAN:
             return [accuracy(_median([terms[i] for i in combo], rows)) for combo in run]
-        fold, accuracies = _FOLDS[strategy][1], []
+        fold, accuracies = _FOLDS[strategy], []
         square = strategy is FusionStrategy.SQUARED_SUM
         for combo in run:
             out, term = rows[len(combo) - 2], terms[combo[-1]]

@@ -8,7 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Bundle
+from .core import Bundle, _tool_block
 from .metrics import (
     AggregatedMetrics,
     PairMetricMatrix,
@@ -46,10 +46,7 @@ def winsorized_mean(values: Iterable[float], lam: float = 0.2, interpolate: bool
     if interpolate:
         low = float(np.percentile(a, 100.0 * lam))
         high = float(np.percentile(a, 100.0 * (1.0 - lam)))
-        core = a[cut : n - cut] if cut else a
-        result = float(lam * low + (1.0 - 2.0 * lam) * core.mean() + lam * high)
-    elif cut == 0:
-        result = float(a.mean())
+        result = float(lam * low + (1.0 - 2.0 * lam) * a[cut : n - cut].mean() + lam * high)
     else:
         w = a.copy()
         w[:cut] = a[cut]
@@ -168,11 +165,9 @@ class SelectionReport:
         return tuple(d for d in self.decisions if not d.selected)
 
     def to_dict(self) -> dict:
-        from . import __version__
-
         out = {
             "schema": 1,
-            "tool": {"name": "modselect", "version": __version__},
+            "tool": _tool_block(),
             "config": {
                 "mode": self.config.mode,
                 "consensus": self.config.consensus,

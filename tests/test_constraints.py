@@ -2,13 +2,15 @@
 
 Work is shared over CPUs only through ``parallel._each``, which forks: no
 thread pool, no ``multiprocessing``, no subprocess. Nothing is configured
-through environment variables.
+through environment variables. ``fuse`` states each fusion rule apart from
+the sweep's kernels, which the tests hold to it.
 """
 
 import ast
 from pathlib import Path
 
 import modselect
+from modselect import fusion
 
 FORBIDDEN_IMPORTS = {"threading", "multiprocessing", "concurrent", "subprocess"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
@@ -32,3 +34,22 @@ def test_no_threads_subprocesses_environment_or_fork_outside_parallel():
                 if node.attr == "fork":
                     forking.add(path.name)
     assert forking == {"parallel.py"}
+
+
+def test_fuse_reaches_none_of_the_sweeps_kernels():
+    # Follows every module-level name fuse reads, and the names those read.
+    tree = ast.parse(Path(fusion.__file__).read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((target.id, node) for target in node.targets if isinstance(target, ast.Name))
+    reached, todo = set(), ["fuse"]
+    while todo:
+        name = todo.pop()
+        if name in defined and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
+    assert "_borda_points" in reached
+    assert not reached & {"_median", "_median_network", "_FOLDS"}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modselect import ALL_STRATEGIES, FusionStrategy, fusion, fuse, mpca, predict, sweep
-from modselect.fusion import _median_network, parse_strategies
+from modselect.fusion import _FOLDS, _borda_points, _median, _median_network, parse_strategies
 
 from conftest import make_bundle, simplex_rows
 
@@ -544,11 +544,29 @@ def test_fuse_shares_no_memory_with_its_inputs(k):
         assert not any(np.shares_memory(fused, x) for x in xs), strategy
 
 
+def _swept(strategy, xs):
+    # The sweep's kernels on k >= 2 members: the pruned median network in
+    # k + 1 rows, or a left fold of each member's term with the rule's ufunc.
+    # Adding +0.0 turns a -0.0 left by the network or the sum's fold into
+    # numpy's +0.0; the sweep skips it, as argmax does not tell them apart.
+    if strategy is FusionStrategy.MEDIAN:
+        fused = _median(xs, [np.empty(xs[0].shape) for _ in range(len(xs) + 1)])
+    else:
+        terms = {FusionStrategy.SQUARED_SUM: lambda x: x * x, FusionStrategy.BORDA_COUNT: _borda_points}
+        term = terms.get(strategy, np.asarray)
+        fused = np.array(term(xs[0]))
+        for x in xs[1:]:
+            _FOLDS[strategy](fused, term(x), out=fused)
+    if strategy in (FusionStrategy.SUM, FusionStrategy.MEDIAN):
+        fused = fused + 0.0
+    return fused
+
+
 @pytest.mark.parametrize("k", range(1, 12))
 def test_fuse_matches_numpy_reductions_bit_for_bit(k):
-    # The fold reproduces the stack reductions the rules are defined by, down
-    # to the sign of a zero: members drawn from {0.0, -0.0, 1.0} tie the two
-    # zeros in many cells.
+    # fuse and the sweep's kernels give the stack reductions the rules are
+    # defined by, down to the sign of a zero: members drawn from {0.0, -0.0,
+    # 1.0} tie the two zeros in many cells.
     rng = np.random.default_rng(k)
     uniform = [rng.random((25, 4)) for _ in range(k)]
     signed_zeros = [rng.choice([0.0, -0.0, 1.0], size=(25, 4)) for _ in range(k)]
@@ -560,9 +578,12 @@ def test_fuse_matches_numpy_reductions_bit_for_bit(k):
             FusionStrategy.PRODUCT: np.prod(stack, axis=0),
             FusionStrategy.MAXIMUM: stack.max(axis=0),
             FusionStrategy.MEDIAN: np.median(stack, axis=0),
+            FusionStrategy.BORDA_COUNT: np.stack([_borda_points(x) for x in xs]).sum(axis=0),
         }
         for strategy, expected in want.items():
             assert fuse(strategy, xs).tobytes() == expected.tobytes(), strategy
+            if k >= 2:
+                assert _swept(strategy, xs).tobytes() == expected.tobytes(), strategy
         assert all(np.array_equal(x, y) for x, y in zip(xs, stack))  # inputs untouched
 
 
@@ -591,10 +612,11 @@ def test_median_of_nan_and_inf_matches_numpy(k):
     xs[0][k, :] = np.nan
     xs[-1][k + 1, 0], xs[0][k + 1, 1], xs[-1][k + 1, 1] = np.inf, -np.inf, np.inf
     with np.errstate(invalid="ignore"):  # both add inf and -inf for the even k
-        got = fuse(FusionStrategy.MEDIAN, xs)
         want = np.median(np.stack(xs), axis=0)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert all(np.isnan(got[m, m % 3]) for m in range(k)) and np.isnan(got[k]).all()
+        got = [fuse(FusionStrategy.MEDIAN, xs)] + ([_swept(FusionStrategy.MEDIAN, xs)] if k >= 2 else [])
+    for fused in got:
+        assert np.array_equal(fused, want, equal_nan=True)
+        assert all(np.isnan(fused[m, m % 3]) for m in range(k)) and np.isnan(fused[k]).all()
 
 
 def test_single_matrix_fusion_is_a_copy():
