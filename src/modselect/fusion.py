@@ -85,18 +85,27 @@ _REDUCTIONS = {
 }
 
 
+def _middles(k: int) -> range:
+    # The positions of the middle of k sorted members: one for an odd k, two for an even k.
+    return range((k - 1) // 2, k // 2 + 1)
+
+
 @functools.cache
-def _median_network(k: int) -> tuple[tuple, tuple[int, ...]]:
+def _median_network(k: int) -> tuple[tuple, tuple[tuple[int, int], ...]]:
     """The min and max calls that put the middle of k members on their wires.
 
     Knuth's merge-exchange sorting network (TAOCP 5.2.2, algorithm M),
-    pruned to the outputs the middle wire(s) depend on: a comparator whose
-    min (or max) output no kept comparator and no middle wire reads is not
-    run, and neither is its other half. Returns ``(ops, middle)``: each op
-    ``(ufunc, a, b, out)`` reads buffers ``a`` and ``b`` and writes ``out``,
-    where buffers ``0 .. k-1`` are the members (never written) and ``k ..
-    2k`` are k + 1 scratch rows; ``middle`` holds the buffer of the middle
-    wire, or of the two middle wires when k is even.
+    pruned to the outputs the kept positions depend on: a comparator whose
+    min (or max) output no kept comparator and no kept position reads is
+    not run, and neither is its other half. The kept positions are the
+    middle of the k sorted members, one or two, and for an odd k also the
+    middle's two neighbours, so that ``_clamp`` can place one more member
+    into the middle of k + 1 (an even k's middle is what it needs already).
+    Returns ``(ops, kept)``: each op ``(ufunc, a, b, out)`` reads buffers
+    ``a`` and ``b`` and writes ``out``, where buffers ``0 .. k-1`` are the
+    members (never written) and ``k .. 2k`` are k + 1 scratch rows;
+    ``kept`` pairs each kept position, in order, with the buffer that holds
+    it.
     """
     pairs = []
     top = 1 << (k - 1).bit_length() >> 1  # 2^(t-1) for t = ceil(log2 k); 0 for k = 1
@@ -109,8 +118,8 @@ def _median_network(k: int) -> tuple[tuple, tuple[int, ...]]:
                 break
             d, q, r = q - p, q >> 1, p
         p >>= 1
-    needed = {(k - 1) // 2, k // 2}
-    kept = []
+    outputs = set(range((k - 1) // 2 - k % 2, k // 2 + 1 + k % 2)) & set(range(k))
+    needed, kept = set(outputs), []
     for i, j in reversed(pairs):
         if i in needed or j in needed:
             kept.append((i, j, i in needed, j in needed))
@@ -135,27 +144,44 @@ def _median_network(k: int) -> tuple[tuple, tuple[int, ...]]:
             wire[w], wire[dead] = owned[0] if owned else row(), None
             ops.append((np.minimum if low else np.maximum, a, b, wire[w]))
         free.update(x for x in owned if x not in (wire[i], wire[j]))
-    return tuple(ops), tuple(dict.fromkeys(wire[w] for w in ((k - 1) // 2, k // 2)))
+    return tuple(ops), tuple((w, wire[w]) for w in sorted(outputs))
 
 
-def _median(members: list[np.ndarray], rows: list[np.ndarray]) -> np.ndarray:
-    # np.median over the k >= 2 members, cell by cell, with the same bits,
-    # but for the sign of a zero: np.median never returns -0.0, this may;
-    # argmax and equality do not tell the two zeros apart. The pruned network
-    # of _median_network runs min and max on whole matrices, where numpy's
-    # sort along the member axis makes one call per cell. Min and max are
-    # exact and propagate NaN, and every output of a sorting network depends
-    # on every input, so a cell is NaN wherever a member is, as in np.median.
-    # The network writes into ``rows``, k + 1 matrices of the members' shape
-    # that share no memory with them; the result is one of those rows.
-    ops, middle = _median_network(len(members))
+def _network(members: list[np.ndarray], rows: list[np.ndarray]) -> dict[int, np.ndarray]:
+    # Runs _median_network on the k members, writing only into the first
+    # k + 1 of ``rows`` (matrices of the members' shape that share no memory
+    # with them), and returns each kept position's sorted values, cell by
+    # cell. Min and max are exact and propagate NaN, and every output of a
+    # sorting network depends on every input, so a kept position is NaN
+    # wherever a member is.
+    ops, kept = _median_network(len(members))
     wires = [*members, *rows]
     for minmax, a, b, out in ops:
         minmax(wires[a], wires[b], out=wires[out])
+    return {j: wires[w] for j, w in kept}
+
+
+def _clamp(s: dict[int, np.ndarray], x: np.ndarray, k: int, outs: list[np.ndarray]) -> list[np.ndarray]:
+    # The middle of k + 1 members, one or two order statistics, from the
+    # sorted positions ``s`` of k of them (_network's) and the last
+    # member x: order statistic j of the k + 1 is max(s[j-1], min(s[j], x)),
+    # with no min at j = k and no max at j = 0. Each goes into its own row
+    # of ``outs``, which must not hold a position of ``s``.
+    got = []
+    for j, out in zip(_middles(k + 1), outs):
+        v = np.minimum(s[j], x, out=out) if j < k else x
+        got.append(np.maximum(s[j - 1], v, out=out) if j else v)
+    return got
+
+
+def _mean(middle: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    # np.median's value from the middle order statistic(s), with the same
+    # bits but for the sign of a zero: np.median never returns -0.0, this
+    # may; argmax and equality do not tell the two zeros apart. Two middles
+    # are added and halved into ``out``, which may be one of them.
     if len(middle) == 1:
-        return wires[middle[0]]
-    low, high = (wires[m] for m in middle)
-    return np.divide(np.add(low, high, out=high), 2, out=high)
+        return middle[0]
+    return np.divide(np.add(*middle, out=out), 2, out=out)
 
 
 def fuse(strategy: FusionStrategy, scores: Sequence) -> np.ndarray:
@@ -201,17 +227,23 @@ def mpca(pred, truth, n_classes: int) -> float:
         raise ValueError(f"truth labels outside [0, {n_classes})")
     if pred.min() < 0 or pred.max() >= n_classes:
         raise ValueError(f"predicted labels outside [0, {n_classes})")
+    return _mpca(pred == truth, *_present(truth, n_classes))
+
+
+def _present(truth: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    # Each sample's index among the classes that occur in ``truth``, in
+    # class order, and each such class's count of samples.
     occurrences = np.bincount(truth, minlength=n_classes)
-    return _mpca(pred == truth, truth, occurrences, occurrences > 0)
+    present = occurrences > 0
+    return np.cumsum(present)[truth] - 1, occurrences[present]
 
 
-def _mpca(right: np.ndarray, truth: np.ndarray, occurrences: np.ndarray, present: np.ndarray) -> float:
-    # mpca without the checks, given which samples are predicted right, the
-    # per-class counts of ``truth`` and the mask of the classes that occur.
-    # The hits are counted as float weights, exact integers, so the rates
-    # keep their bits; the sum over the count is np.mean with the same bits.
-    correct = np.bincount(truth, weights=right, minlength=occurrences.size)
-    rates = correct[present] / occurrences[present]
+def _mpca(right: np.ndarray, code: np.ndarray, counts: np.ndarray) -> float:
+    # mpca without the checks, given which samples are predicted right and
+    # _present's codes and counts. The hits are counted as float weights,
+    # exact integers, so the rates keep their bits; the sum over the count
+    # is np.mean with the same bits.
+    rates = np.bincount(code, weights=right, minlength=counts.size) / counts
     return float(np.add.reduce(rates) / rates.size)
 
 
@@ -219,21 +251,38 @@ def _mpca(right: np.ndarray, truth: np.ndarray, occurrences: np.ndarray, present
 MAX_DEFAULT_UNIVERSE = 16
 
 
+def _prefixes(run: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    # The prefixes the median walk sorts: the run's first member alone and
+    # each combination of the run that does not end in the last modality
+    # (the last member of the run's last combination). Each prefix's leaf,
+    # the prefix plus the last modality, is scored from it.
+    last = run[-1][-1]
+    return [run[0][:1]] + [c for c in run if c[-1] != last]
+
+
 def _run_cost(strategy: FusionStrategy, run: list[tuple[int, ...]]) -> int:
     # The work of one run of a rule's walk, in passes over a C x S matrix.
     # Each combination is scored once, which counts as 6 passes (max.reduce,
     # equal, take, the tie count and the per-class hits), and fused: a fold
     # step is 1 pass, and squared sum squares each step's new member (1 more
-    # pass) and the run's first member; a median of k members costs the min
-    # and max calls of its network, plus the add and the halving of the two
-    # middles of an even k. At M = 8 that gives 247 * 7 = 1729 passes for a
-    # fold walk and 4012 for the median walk, 2.32 times as many; the median
-    # walk measured 2.3-2.5 times a fold walk.
+    # pass) and the run's first member. A Borda combination, whose add and
+    # scoring run on small integers, counts 4 in all. The median walk's
+    # float64 calls count 2 each: per prefix of k members, the min and max
+    # calls of its network and of its leaf's clamps, and one add and
+    # halving of two middles, the prefix's (even k) or its leaf's (odd k).
+    # With these weights each rule's walk took 4.3-5.5 us per counted pass
+    # on one CPU (C x S = 20 000, M = 8), where the walks count 1729 passes
+    # per fold rule, 1983 for squared sum, 988 for Borda and 4794 for median.
     if strategy is FusionStrategy.MEDIAN:
-        networks = (_median_network(len(combo)) for combo in run)
-        return sum(6 + len(ops) + 2 * (len(middle) - 1) for ops, middle in networks)
+        cost = 0
+        for k in map(len, _prefixes(run)):
+            clamps = sum((j < k) + (j > 0) for j in _middles(k + 1))
+            cost += 2 * (len(_median_network(k)[0]) + clamps + 2) + 6 * (1 + (k > 1))
+        return cost
     if strategy is FusionStrategy.SQUARED_SUM:
         return 8 * len(run) + 1
+    if strategy is FusionStrategy.BORDA_COUNT:
+        return 4 * len(run)
     return 7 * len(run)
 
 
@@ -249,11 +298,19 @@ def sweep(
     float64 copy of each modality's scores, plus, for Borda, each member's
     points in the narrowest unsigned integer type that holds C - 1. Each
     strategy walks the combinations depth first: a combination folds its
-    last member's term into its prefix's fused scores, in float64, with the
-    same bits as ``fuse`` but for the sign of a zero; squared sum squares
-    each new member into a spare row as it goes. Median runs the pruned
-    sorting network of ``_median`` on each combination's members.
-    Both write into n + 1 output matrices that each process allocates once.
+    last member's term into its prefix's fused scores, with the same bits
+    as ``fuse`` but for the sign of a zero, in float64; squared sum squares
+    each new member into a spare row as it goes. Borda's sums are whole
+    numbers up to n * (C - 1), so they are folded and scored in the
+    narrowest unsigned type that holds that instead, which gives the argmax
+    and the ties of their exact float64 values. Median sorts the middle of
+    each combination that does not end in the last modality, and for an odd
+    size the middle's two neighbours, with the pruned network of
+    ``_median_network``; the leaf that adds the last modality takes its
+    middle from those positions by one or two clamps (``_clamp``), so half
+    the combinations run no network of their own. All of these write into
+    n + 1 output matrices that each process allocates once; Borda's integer
+    sums use their memory.
     Each combination is scored with whole-row operations and no argmax: a
     sample is right when its true class reaches the column maximum and no
     class before it ties that maximum, which is argmax's rule (the tie test
@@ -291,51 +348,71 @@ def sweep(
     # The checked one-shot path scores the first modality, and so rejects
     # bad labels once; the kernel scores the rest against counts made once.
     first = mpca(predict(matrices[0]).values, truth, n_classes)
-    occurrences = np.bincount(truth, minlength=n_classes)
-    present = occurrences > 0
+    code, counts = _present(truth, n_classes)
     n_samples = truth.size
     at_truth = truth * n_samples + np.arange(n_samples)  # flat index of (truth[s], s)
     before = np.arange(n_classes)[:, None] < truth  # class c precedes sample s's true class
-    best = np.empty(n_samples)
+    # Borda's sums are whole numbers up to n * (C - 1), held in the narrowest
+    # unsigned type that fits them; a combination's maximum is found in its
+    # scores' own type.
+    sums = np.min_scalar_type(n * (n_classes - 1))
+    best = {np.dtype(np.float64): np.empty(n_samples), sums: np.empty(n_samples, dtype=sums)}
     right, tied = np.empty(n_samples, dtype=bool), np.empty(n_samples, dtype=bool)
     ties = np.empty((n_classes, n_samples), dtype=bool)
 
     def accuracy(scores: np.ndarray) -> float:
-        np.maximum.reduce(scores, axis=0, out=best)
-        if math.isnan(np.minimum.reduce(best)):  # argmax picks the first NaN
-            return _mpca(np.argmax(scores, axis=0) == truth, truth, occurrences, present)
-        np.equal(scores, best, out=ties)
+        top = np.maximum.reduce(scores, axis=0, out=best[scores.dtype])
+        if top.dtype.kind == "f" and math.isnan(np.minimum.reduce(top)):  # argmax picks the first NaN
+            return _mpca(np.argmax(scores, axis=0) == truth, code, counts)
+        np.equal(scores, top, out=ties)
         ties.take(at_truth, out=right)  # the true class reaches the maximum
         if np.count_nonzero(ties) > n_samples:  # some sample's maximum is tied
             np.logical_and(ties, before, out=ties)
             np.logical_or.reduce(ties, axis=0, out=tied)  # a class before it does too
             np.greater(right, tied, out=right)  # right and not tied
-        return _mpca(right, truth, occurrences, present)
+        return _mpca(right, code, counts)
 
     # The walks write into output matrices that each process allocates once,
-    # on first use: median sorts k members in k + 1 of them, and a fold keeps
-    # the fused scores of a combination of k members in rows[k - 2] while its
-    # extensions are walked, and squared sum squares each new member into
-    # rows[n]. The folds and the network never write into their inputs.
+    # on first use. A fold keeps the fused scores of a combination of k
+    # members in rows[k - 2] while its extensions are walked, and squared sum
+    # squares each new member into rows[n]; Borda folds its sums in an
+    # integer view of the same rows. The median walk sorts a prefix of k
+    # members in k + 1 rows and finds its leaf's middle in rows that hold
+    # none of the prefix's kept positions. The walks never write into their
+    # inputs.
     shape, rows = (n_classes, n_samples), []
+
+    def median_walk(terms: list[np.ndarray], run: list[tuple[int, ...]]) -> list[float]:
+        x, accuracies = terms[n - 1], {}
+        for prefix in _prefixes(run):
+            k = len(prefix)
+            s = _network([terms[i] for i in prefix], rows)
+            spare = [r for r in rows if all(r is not v for v in s.values())]
+            if k > 1:
+                accuracies[prefix] = accuracy(_mean([s[j] for j in _middles(k)], spare[0]))
+            leaf = _clamp(s, x, k, spare)
+            accuracies[prefix + (n - 1,)] = accuracy(_mean(leaf, leaf[-1]))
+        return [accuracies[c] for c in run]
 
     def walk(strategy: FusionStrategy, terms: list[np.ndarray], run: list[tuple[int, ...]]) -> list[float]:
         if not rows:
             rows.extend(np.empty(shape) for _ in range(n + 1))
         if strategy is FusionStrategy.MEDIAN:
-            return [accuracy(_median([terms[i] for i in combo], rows)) for combo in run]
-        fold, accuracies = _FOLDS[strategy], []
+            return median_walk(terms, run)
+        fold, accuracies, outs = _FOLDS[strategy], [], rows
         square = strategy is FusionStrategy.SQUARED_SUM
+        if strategy is FusionStrategy.BORDA_COUNT:
+            outs = [r.reshape(-1).view(sums)[: r.size].reshape(shape) for r in rows]
         for combo in run:
-            out, term = rows[len(combo) - 2], terms[combo[-1]]
-            prefix = terms[combo[0]] if len(combo) == 2 else rows[len(combo) - 3]
+            out, term = outs[len(combo) - 2], terms[combo[-1]]
+            prefix = terms[combo[0]] if len(combo) == 2 else outs[len(combo) - 3]
             if square:  # fuse's term m * m, for a run's first member too
                 if len(combo) == 2:
                     prefix = np.multiply(prefix, prefix, out=out)
                 term = np.multiply(term, term, out=rows[n])
-            # In float64 whatever the terms' type: two uint8 Borda terms
-            # would otherwise add in uint8 and wrap.
-            accuracies.append(accuracy(fold(prefix, term, out=out, dtype=np.float64)))
+            # In the output row's type: two uint8 Borda terms would
+            # otherwise add in uint8 and wrap.
+            accuracies.append(accuracy(fold(prefix, term, out=out, dtype=out.dtype)))
         return accuracies
 
     # Borda's points are built here, before any fork, so that the calls to

@@ -52,4 +52,4 @@ def test_fuse_reaches_none_of_the_sweeps_kernels():
             reached.add(name)
             todo += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
     assert "_borda_points" in reached
-    assert not reached & {"_median", "_median_network", "_FOLDS"}
+    assert not reached & {"_median_network", "_network", "_clamp", "_mean", "_FOLDS"}

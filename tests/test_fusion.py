@@ -12,7 +12,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modselect import ALL_STRATEGIES, FusionStrategy, fusion, fuse, mpca, predict, sweep
-from modselect.fusion import _FOLDS, _borda_points, _median, _median_network, parse_strategies
+from modselect.fusion import (
+    _FOLDS,
+    _borda_points,
+    _clamp,
+    _mean,
+    _median_network,
+    _middles,
+    _network,
+    _present,
+    _run_cost,
+    parse_strategies,
+)
+from modselect.parallel import _deal
 
 from conftest import make_bundle, simplex_rows
 
@@ -130,6 +142,12 @@ def test_mpca_errors():
         mpca([], [], 2)
     with pytest.raises(ValueError, match="outside"):
         mpca([0, 3], [0, 1], 2)
+
+
+def test_present_codes_each_sample_among_the_classes_that_occur():
+    code, counts = _present(np.array([3, 0, 3, 5, 0, 0]), 7)
+    assert code.tolist() == [1, 0, 1, 2, 0, 0]
+    assert counts.tolist() == [3, 2, 1]
 
 
 def test_mpca_uniform_random_near_chance():
@@ -265,6 +283,19 @@ def test_sweep_matches_bruteforce(rng):
                 assert table.value(combo, strategy.value) == pytest.approx(want, abs=1e-12)
 
 
+def _one_shot(bundle, strategies=ALL_STRATEGIES):
+    # The table of fusing each combination anew with fuse and scoring it with mpca.
+    labels, n_classes = bundle.labels.values, bundle.n_classes
+    combos = [c for k in range(1, len(bundle.names) + 1) for c in itertools.combinations(bundle.names, k)]
+    want = np.empty((len(combos), len(strategies)))
+    for row, combo in enumerate(combos):
+        selected = [bundle.get(name).scores.values for name in combo]
+        for col, s in enumerate(strategies):
+            fused = selected[0] if len(combo) == 1 else fuse(s, selected)
+            want[row, col] = mpca(predict(fused).values, labels, n_classes)
+    return combos, want
+
+
 def _tied_scores(rng, n_samples, n_classes):
     # Rounded to two decimals, so scores often tie within a row and across modalities.
     return np.round(simplex_rows(rng, n_samples, n_classes), 2)
@@ -285,12 +316,8 @@ def test_sweep_equals_one_shot_fusion(n_modalities):
         bundle = make_bundle(scores, labels=labels)
         table = sweep(bundle, strategies)
         assert table.strategies == tuple(s.value for s in strategies)
-        want = np.empty(table.values.shape)
-        for row, combo in enumerate(table.combinations()):
-            selected = [bundle.get(name).scores.values for name in combo]
-            for col, s in enumerate(strategies):
-                fused = selected[0] if len(combo) == 1 else fuse(s, selected)
-                want[row, col] = mpca(predict(fused).values, labels, n_classes)
+        combos, want = _one_shot(bundle, strategies)
+        assert list(table.combinations()) == combos
         assert np.array_equal(table.values, want)
 
 
@@ -301,22 +328,22 @@ def test_sweep_with_an_absent_class_equals_one_shot_mpca():
     scores = [_tied_scores(rng, 40, 4) for _ in range(4)]
     bundle = make_bundle(scores, labels=labels)
     table = sweep(bundle)
-    for row, combo in enumerate(table.combinations()):
-        selected = [bundle.get(name).scores.values for name in combo]
-        for col, s in enumerate(ALL_STRATEGIES):
-            fused = selected[0] if len(combo) == 1 else fuse(s, selected)
-            assert table.values[row, col] == mpca(predict(fused).values, labels, 4)
+    combos, want = _one_shot(bundle)
+    assert list(table.combinations()) == combos
+    assert np.array_equal(table.values, want)
 
 
 def _nan_and_inf_bundle():
     # An unvalidated bundle, built directly. A NaN at a sample's true class
     # comes first, so argmax picks it and scores the sample right; other
-    # rows hold a NaN before the true class, +inf ties and rows of -inf.
+    # rows hold a NaN before the true class, +inf ties and rows of -inf. Six
+    # modalities, so that the median walk's leaves clamp the last one into
+    # prefixes of 1 to 5 members, of both parities.
     rng = np.random.default_rng(8)
     n_samples, n_classes = 60, 4
     labels = rng.integers(0, n_classes, n_samples)
     scores = []
-    for m in range(4):
+    for m in range(6):
         x = simplex_rows(rng, n_samples, n_classes)
         rows = np.arange(m, n_samples - 5, 6)
         x[rows, labels[rows]] = np.nan
@@ -330,15 +357,10 @@ def _nan_and_inf_bundle():
 
 def test_sweep_over_nan_and_inf_scores_equals_one_shot_fusion():
     bundle = _nan_and_inf_bundle()
-    labels, n_classes = bundle.labels.values, bundle.n_classes
     with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make NaN
         table = sweep(bundle)
-        want = np.empty(table.values.shape)
-        for row, combo in enumerate(table.combinations()):
-            selected = [bundle.get(name).scores.values for name in combo]
-            for col, s in enumerate(ALL_STRATEGIES):
-                fused = selected[0] if len(combo) == 1 else fuse(s, selected)
-                want[row, col] = mpca(predict(fused).values, labels, n_classes)
+        combos, want = _one_shot(bundle)
+    assert list(table.combinations()) == combos
     assert np.array_equal(table.values, want)
 
 
@@ -452,6 +474,16 @@ def test_the_sweep_deals_each_rule_in_runs_by_first_member(monkeypatch, n_modali
             assert all(c > cost[other, tuple(run)] for other in ALL_STRATEGIES if other is not s)
 
 
+@pytest.mark.parametrize("n_modalities", [8, 12])
+def test_the_two_cpus_get_like_shares_of_counted_cost(n_modalities):
+    n = n_modalities
+    combos = sorted(c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
+    runs = [list(run) for _, run in itertools.groupby(combos, key=lambda c: c[0])]
+    costs = [_run_cost(s, run) for s in ALL_STRATEGIES for run in runs]
+    shares = [sum(costs[i] for i in share) for share in _deal(costs, 2)]
+    assert max(shares) - min(shares) <= 0.01 * max(shares)
+
+
 @pytest.mark.parametrize("n_classes", [130, 200, 300])
 def test_a_wide_borda_sweep_does_not_wrap(n_classes):
     # Borda's points are held as uint8 up to C = 256, where two members'
@@ -468,13 +500,36 @@ def test_a_wide_borda_sweep_does_not_wrap(n_classes):
         scores.append(x)
     bundle = make_bundle(scores, labels=labels)
     table = sweep(bundle)
-    want = np.empty(table.values.shape)
-    for row, combo in enumerate(table.combinations()):
-        selected = [bundle.get(name).scores.values for name in combo]
-        for col, s in enumerate(ALL_STRATEGIES):
-            fused = selected[0] if len(combo) == 1 else fuse(s, selected)
-            want[row, col] = mpca(predict(fused).values, labels, n_classes)
+    combos, want = _one_shot(bundle)
+    assert list(table.combinations()) == combos
     assert np.array_equal(table.values, want)
+
+
+@pytest.mark.parametrize(
+    "n_modalities, n_classes, sums", [(3, 86, np.uint8), (3, 87, np.uint16), (5, 52, np.uint8), (5, 53, np.uint16)]
+)
+def test_borda_sums_fill_their_integer_type_without_wrapping(n_modalities, n_classes, sums):
+    # Borda's sums are held in the narrowest unsigned type that holds
+    # n * (C - 1): exactly 255 fits uint8, just above needs uint16, though
+    # C - 1 alone fits uint8 in all four cases. Every member ranks each
+    # sample's true class first, so the full combination's sum there reaches
+    # n * (C - 1); wrapped at 256, it would no longer be the maximum.
+    assert np.min_scalar_type(n_modalities * (n_classes - 1)) == sums
+    rng = np.random.default_rng(n_classes)
+    n_samples = 30
+    labels = rng.integers(0, n_classes, n_samples)
+    scores = []
+    for _ in range(n_modalities):
+        x = rng.random((n_samples, n_classes))
+        x[np.arange(n_samples), labels] = 2.0
+        scores.append(x)
+    bundle = make_bundle(scores, labels=labels)
+    strategies = parse_strategies("borda,sum")
+    table = sweep(bundle, strategies)
+    combos, want = _one_shot(bundle, strategies)
+    assert list(table.combinations()) == combos
+    assert np.array_equal(table.values, want)
+    assert (want == 1.0).all()
 
 
 @pytest.mark.parametrize("n_modalities, n_samples, n_classes", [(6, 2000, 10), (8, 1000, 20)])
@@ -550,7 +605,8 @@ def _swept(strategy, xs):
     # Adding +0.0 turns a -0.0 left by the network or the sum's fold into
     # numpy's +0.0; the sweep skips it, as argmax does not tell them apart.
     if strategy is FusionStrategy.MEDIAN:
-        fused = _median(xs, [np.empty(xs[0].shape) for _ in range(len(xs) + 1)])
+        s = _network(xs, [np.empty(xs[0].shape) for _ in range(len(xs) + 1)])
+        fused = _mean([s[j] for j in _middles(len(xs))], np.empty(xs[0].shape))
     else:
         terms = {FusionStrategy.SQUARED_SUM: lambda x: x * x, FusionStrategy.BORDA_COUNT: _borda_points}
         term = terms.get(strategy, np.asarray)
@@ -593,14 +649,31 @@ def test_median_network_puts_the_middle_on_its_wires(k):
     # 0/1 input on its middle wire(s) does so for every input. All 2^k
     # inputs run at once, one column each.
     bits = (np.arange(1 << k)[None, :] >> np.arange(k)[:, None]) & 1
-    ops, middle = _median_network(k)
+    # For an odd k the network also keeps the middle's two neighbours.
+    ops, kept = _median_network(k)
     assert all(out >= k for *_, out in ops)  # members are never written
     assert max((out for *_, out in ops), default=k) <= 2 * k  # k + 1 rows suffice
     wires = [*bits.astype(np.uint8), *np.empty((k + 1, 1 << k), dtype=np.uint8)]
     for minmax, a, b, out in ops:
         minmax(wires[a], wires[b], out=wires[out])
-    got = np.array([wires[m] for m in middle])
-    assert np.array_equal(got, np.sort(bits, axis=0)[sorted({(k - 1) // 2, k // 2})])
+    positions = range(k // 2 - 1, k // 2 + 2) if k % 2 else _middles(k)
+    assert [j for j, _ in kept] == [j for j in positions if 0 <= j < k]
+    got = np.array([wires[w] for _, w in kept])
+    assert np.array_equal(got, np.sort(bits, axis=0)[[j for j, _ in kept]])
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_clamps_into_the_network_put_the_middle_of_one_more_member(k):
+    # The 0-1 principle again, for the median walk's leaves: the network
+    # sorts the middle of k members and, for an odd k, its two neighbours;
+    # clamping member k + 1 against those positions gives the middle of all
+    # k + 1. All 2^(k+1) inputs run at once, one column each.
+    bits = ((np.arange(1 << (k + 1))[None, :] >> np.arange(k + 1)[:, None]) & 1).astype(np.uint8)
+    s = _network(list(bits[:k]), list(np.empty((k + 1, bits.shape[1]), dtype=np.uint8)))
+    prefix = np.sort(bits[:k], axis=0)
+    assert all(np.array_equal(s[j], prefix[j]) for j in s)
+    got = _clamp(s, bits[k], k, list(np.empty((2, bits.shape[1]), dtype=np.uint8)))
+    assert np.array_equal(np.array(got), np.sort(bits, axis=0)[list(_middles(k + 1))])
 
 
 @pytest.mark.parametrize("k", range(1, 13))
