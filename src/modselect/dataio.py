@@ -465,13 +465,20 @@ def _parse_cost(path: Path, parse) -> int:
 
 
 def _read_parsed(path: Path, parse):
-    """``(path, sha256 digest, parse(path, text))`` from one read; None for the last if ``parse`` is None."""
+    """``(path, sha256 digest, parse(path, text))`` from one read; None for the last if ``parse`` is None.
+
+    The parsed sample ids, the first item, come back as one string, joined
+    by newlines, where no id holds a newline; two such strings are equal
+    exactly when the id lists are, and a list is never equal to a string.
+    """
     data, digest = _read_hashed(path)
     if parse is None:
         return path, digest, None
     text = _read_text(path, data)
     del data  # not held while the text is parsed
-    return path, digest, parse(path, text)
+    ids, *rest = parse(path, text)
+    joined = "\n".join(ids)
+    return path, digest, (joined if joined.count("\n") == len(ids) - 1 else ids, *rest)
 
 
 def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) -> tuple[Bundle, dict[str, str]]:
@@ -488,7 +495,9 @@ def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) 
     sample ids unlike the first parsed file's included. Raises too if the
     assembled bundle violates an invariant (for example score rows off the
     probability simplex by more than the tolerance are rejected, never
-    renormalized).
+    renormalized). On two or more CPUs every parsed file's sample ids are
+    held until the last file is checked, each file's as one string where
+    no id holds a newline (:func:`_read_parsed`), not one per sample.
     """
     manifest_path = Path(manifest_path)
     data, digest = _read_hashed(manifest_path)

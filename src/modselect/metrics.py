@@ -25,17 +25,22 @@ def correlation_vector(z_m, z_n) -> np.ndarray:
         raise ValueError("incompatible score matrices")
     if a.shape[0] < 2:
         raise ValueError("insufficient samples")
-    return _correlation(_moments(a), _moments(b))
+    return _correlation(a, _moments(a), b, _moments(b))
 
 
 def _moments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class centred scores and population standard deviations."""
-    return scores - scores.mean(axis=0), scores.std(axis=0)
+    """Per-class means and population standard deviations."""
+    return scores.mean(axis=0), scores.std(axis=0)
 
 
-def _correlation(moments_a: tuple, moments_b: tuple) -> np.ndarray:
-    (centred_a, sd_a), (centred_b, sd_b) = moments_a, moments_b
-    cov = (centred_a * centred_b).mean(axis=0)
+def _correlation(a: np.ndarray, moments_a: tuple, b: np.ndarray, moments_b: tuple) -> np.ndarray:
+    """Per-class correlation of ``a`` and ``b`` from their moments; NaN where a side is degenerate.
+
+    Each side is centred here, so only the pair's two centred copies and
+    their product are alive at once.
+    """
+    (mean_a, sd_a), (mean_b, sd_b) = moments_a, moments_b
+    cov = ((a - mean_a) * (b - mean_b)).mean(axis=0)
     defined = (sd_a >= DEGENERATE_STD) & (sd_b >= DEGENERATE_STD)
     out = np.full(cov.size, np.nan)
     out[defined] = np.clip(cov[defined] / (sd_a[defined] * sd_b[defined]), -1.0, 1.0)
@@ -132,15 +137,19 @@ def correlation_matrix(bundle: Bundle) -> PairMetricMatrix:
     """Prediction-correlation matrix over all modality pairs of a bundle.
 
     Pairs whose scores are degenerate for every class are marked invalid
-    instead of raising.
+    instead of raising. Each modality's per-class means and standard
+    deviations are taken once; its centred scores are made only while a
+    pair it belongs to is scored, so beyond the bundle at most two centred
+    S x C matrices and their product are held at once. Every entry keeps
+    the bits of :func:`pair_correlation`.
     """
     scores = [as_matrix(rec.scores) for rec in bundle.modalities]
     if scores and scores[0].shape[0] < 2:
         raise ValueError("insufficient samples")
     if any(z.shape != scores[0].shape for z in scores):
         raise ValueError("incompatible score matrices")
-    moments = [_moments(z) for z in scores]  # once per modality, not per pair
-    return _pair_matrix(bundle.names, moments, lambda a, b: _defined_mean(_correlation(a, b)))
+    moments = [(z, _moments(z)) for z in scores]  # once per modality, not per pair
+    return _pair_matrix(bundle.names, moments, lambda a, b: _defined_mean(_correlation(*a, *b)))
 
 
 def mmd_matrix(bundle: Bundle) -> PairMetricMatrix:

@@ -32,7 +32,9 @@ def winsorized_mean(values: Iterable[float], lam: float = 0.2, interpolate: bool
     With ``interpolate=True`` the estimate is instead assembled as
     ``lam * p_lam + (1 - 2 lam) * trimmed_mean + lam * p_(1-lam)`` using
     linearly interpolated percentiles, an alternative convention kept for
-    comparison runs.
+    comparison runs. At ``lam = 0.5`` on an even count nothing is left to
+    trim to, so the middle term is left out: both percentiles are the
+    median, and so is the estimate.
     """
     a = np.sort(np.asarray(list(values), dtype=np.float64))
     n = a.size
@@ -46,7 +48,9 @@ def winsorized_mean(values: Iterable[float], lam: float = 0.2, interpolate: bool
     if interpolate:
         low = float(np.percentile(a, 100.0 * lam))
         high = float(np.percentile(a, 100.0 * (1.0 - lam)))
-        result = float(lam * low + (1.0 - 2.0 * lam) * a[cut : n - cut].mean() + lam * high)
+        # At lam = 0.5 on an even count the middle is empty: its weight is 0, but its mean NaN.
+        middle = a[cut : n - cut].mean() if n > 2 * cut else 0.0
+        result = float(lam * low + (1.0 - 2.0 * lam) * middle + lam * high)
     else:
         w = a.copy()
         w[:cut] = a[cut]

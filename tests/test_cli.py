@@ -363,6 +363,28 @@ def test_select_pairs_mode_notes_a_modality_without_correlated_partners(tmp_path
         assert notes["pairs"] == notes["aggregated"]
 
 
+def test_select_interpolated_at_half_lambda_writes_finite_thresholds(tmp_path):
+    # Four modalities carry embeddings: an even count, so lambda 0.5 trims
+    # everything and the discrepancy threshold is their median.
+    bundle = tmp_path / "bundle"
+    assert run_cli("synth", "--seed", 3, "--samples", 200, "--classes", 5, "--dim", 4, "--out-dir", bundle) == 0
+    out = tmp_path / "sel.json"
+    assert run_cli(
+        "select", "--manifest", bundle / "manifest.json", "--lambda", 0.5, "--interpolate-percentiles",
+        "--out", out,
+    ) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is no JSON value")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    discrepancies = [m["discrepancy"] for m in report["modalities"] if m["discrepancy"] is not None]
+    assert len(discrepancies) % 2 == 0
+    threshold = report["thresholds"]["discrepancy"]["value"]
+    assert threshold == pytest.approx(float(np.median(discrepancies)), rel=1e-12)
+    assert any(m["discrepancy_pass"] for m in report["modalities"])
+
+
 def test_select_deterministic(bundle_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("select", "--manifest", bundle_dir / "manifest.json", "--out", a)

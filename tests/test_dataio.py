@@ -79,6 +79,50 @@ def test_sample_id_mismatch_detected(tmp_path, bundle):
         load_bundle(tmp_path / "manifest.json")
 
 
+def _quoted_ids_bundle(tmp_path, *ids) -> Path:
+    """A two-class bundle with one score file per id list, each id quoted."""
+    modalities = []
+    for m, names in enumerate(ids):
+        rows = "".join(f'"{sid}",{k / 4},{1 - k / 4}\n' for k, sid in enumerate(names))
+        (tmp_path / f"s{m}.csv").write_text("sample_id,a,b\n" + rows)
+        modalities.append({"name": f"m{m}", "scores_path": f"s{m}.csv"})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"class_names": ["a", "b"], "modalities": modalities}))
+    return manifest
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_sample_ids_holding_newlines_are_compared_as_lists(tmp_path, cpus, n_cpus):
+    # Joined by newlines, both files' ids would read "a\nb\nc".
+    cpus(n_cpus)
+    with pytest.raises(ValueError, match="sample_id mismatch between s0.csv and s1.csv"):
+        load_bundle(_quoted_ids_bundle(tmp_path, ["a\nb", "c"], ["a", "b\nc"]))
+    loaded, _ = load_bundle(_quoted_ids_bundle(tmp_path, ["a\nb", "c"], ["a\nb", "c"]))
+    assert loaded.names == ("m0", "m1")
+    with pytest.raises(ValueError, match="sample_id mismatch between s0.csv and s1.csv"):
+        load_bundle(_quoted_ids_bundle(tmp_path, ["a", "b"], ["a\nb", "c"]))
+
+
+def test_load_bundle_holds_less_than_the_text_of_a_tall_narrow_bundle(tmp_path, cpus):
+    # On two CPUs every file's sample ids are held until the last file is
+    # checked. As one string per file they take a few bytes per sample; one
+    # string object per sample per file would take about twice the text.
+    rng = np.random.default_rng(5)
+    samples = 10000
+    bundle = make_bundle([simplex_rows(rng, samples, 2) for _ in range(8)], labels=rng.integers(0, 2, samples))
+    manifest = write_bundle(bundle, tmp_path)
+    text = sum(path.stat().st_size for path in tmp_path.iterdir())
+    cpus(2)
+    load_bundle(manifest)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        load_bundle(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < text, (peak, text)
+
+
 def test_simplex_violation_rejected_on_load(tmp_path, rng):
     scores = simplex_rows(rng, 5, 3).copy()
     scores[3] = [0.5, 0.2, 0.1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from modselect import (
     pair_correlation,
     pair_mmd,
 )
-from modselect.metrics import PairMetricMatrix
+from modselect.metrics import DEGENERATE_STD, PairMetricMatrix
 from modselect.synth import ModalitySpec, Scenario, generate
 
 from conftest import make_bundle, simplex_rows
@@ -161,6 +163,44 @@ def test_matrices_hold_the_pair_functions_bits(rng):
                 assert corr.values[i, j].hex() == pair_correlation(m.scores, n.scores).hex()
             if disc.valid[i, j]:
                 assert disc.values[i, j].hex() == pair_mmd(m.embeddings, n.embeddings).hex()
+
+
+def _all_moments_matrix(bundle) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation matrix's values and validity as built from every modality's centred scores at once."""
+    moments = [(z - z.mean(axis=0), z.std(axis=0)) for z in (rec.scores.values for rec in bundle.modalities)]
+    n = len(moments)
+    values, valid = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    for i, (centred_a, sd_a) in enumerate(moments):
+        for j, (centred_b, sd_b) in enumerate(moments):
+            cov = (centred_a * centred_b).mean(axis=0)
+            defined = (sd_a >= DEGENERATE_STD) & (sd_b >= DEGENERATE_STD)
+            if defined.any():
+                rho = np.clip(cov[defined] / (sd_a[defined] * sd_b[defined]), -1.0, 1.0)
+                values[i, j], valid[i, j] = rho.mean(), True
+    return values, valid
+
+
+def test_correlation_matrix_holds_two_centred_copies_and_keeps_its_bits(rng):
+    # Beyond the bundle, the matrix needs two centred S x C copies and their
+    # product, never one per modality; building it so keeps every bit.
+    s, c = 2000, 20
+    scores = [simplex_rows(rng, s, c) for _ in range(7)] + [np.full((s, c), 1.0 / c)]
+    scores[0][:, 0] = 0.05  # a constant class: NaN in every pair, which stays valid
+    scores[0][:, 1:] *= 0.95 / scores[0][:, 1:].sum(axis=1, keepdims=True)
+    bundle = make_bundle(scores)
+    correlation_matrix(bundle)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        corr = correlation_matrix(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * s * c * 8, peak / (s * c * 8)
+    assert np.isnan(correlation_vector(scores[0], scores[1])).tolist() == [True] + [False] * (c - 1)
+    values, valid = _all_moments_matrix(bundle)
+    np.testing.assert_array_equal(corr.valid, valid)
+    assert not valid[7].any() and valid[:7, :7].all()
+    assert corr.values.tobytes() == values.tobytes()
 
 
 def test_correlation_matrix_rejects_what_the_pair_function_rejects(rng):

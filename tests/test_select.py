@@ -93,6 +93,8 @@ class TestWinsorizedMean:
         assert winsorized_mean([5.0, 1.0, 9.0], 0.5) == 5.0
         # even count: everything collapses to the two middle order statistics
         assert winsorized_mean([1.0, 2.0, 8.0, 9.0], 0.5) == pytest.approx(5.0)
+        # the interpolated variant has no middle left to average: both percentiles are the median
+        assert winsorized_mean([1.0, 2.0, 8.0, 9.0], 0.5, interpolate=True) == 5.0
 
     def test_outlier_robustness(self, rng):
         base = sorted(rng.normal(0, 5, 9))
@@ -105,6 +107,15 @@ class TestWinsorizedMean:
         literal = winsorized_mean(values, 0.2, interpolate=True)
         assert literal == pytest.approx(10.1144, abs=1e-3)
         assert min(values) <= literal <= max(values)
+
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+        lam=st.just(0.5) | st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interpolated_variant_is_finite_within_bounds(self, values, lam):
+        got = winsorized_mean(values, lam, interpolate=True)
+        assert math.isfinite(got) and min(values) <= got <= max(values)
 
 
 def _metrics(rho, mmd):
