@@ -12,6 +12,7 @@ from .core import (
     AccuracyTable,
     Bundle,
     EmbeddingMatrix,
+    EmbeddingMeans,
     LabelVector,
     ModalityRecord,
     ScoreMatrix,
@@ -50,6 +51,7 @@ __all__ = [
     "Bundle",
     "ContributionReport",
     "EmbeddingMatrix",
+    "EmbeddingMeans",
     "FIXTURE_DATASETS",
     "FusionStrategy",
     "LabelVector",

@@ -7,7 +7,7 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -90,6 +90,31 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def means(self) -> np.ndarray:
+        """Column means, the only part of the embeddings the discrepancy reads."""
+        return self.values.mean(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddingMeans:
+    """Column means of ``n_samples`` latent vectors, which is what ``load_bundle`` keeps of an embeddings file."""
+
+    means: np.ndarray
+    n_samples: int
+
+    def __post_init__(self):
+        arr = _frozen_array(self.means, np.float64)
+        if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
+            raise ValueError("embedding means must be a nonempty vector of finite values")
+        if self.n_samples < 1:
+            raise ValueError("embeddings need at least one sample")
+        object.__setattr__(self, "means", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.means.size
+
 
 def as_matrix(data, kind: type = ScoreMatrix) -> np.ndarray:
     """The 2-D float64 array behind ``data``.
@@ -133,7 +158,7 @@ class ModalityRecord:
 
     name: str
     scores: ScoreMatrix
-    embeddings: EmbeddingMatrix | None = None
+    embeddings: EmbeddingMatrix | EmbeddingMeans | None = None
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
@@ -180,11 +205,39 @@ class Bundle:
                 return rec
         raise KeyError(f"no modality named {name!r}")
 
+    @property
+    def layout(self) -> "BundleLayout":
+        return BundleLayout(
+            self.names,
+            self.class_names,
+            tuple(None if rec.embeddings is None else rec.embeddings.dim for rec in self.modalities),
+            self.labels is not None,
+        )
+
+    def stream(self) -> Iterator:
+        """The labels (None if there are none), then each modality record in order."""
+        yield self.labels
+        yield from self.modalities
+
     def without_labels(self) -> "Bundle":
         """Label-stripped view; shares the underlying (immutable) matrices."""
         if self.labels is None:
             return self
         return Bundle(self.modalities, None, self.class_names)
+
+
+@dataclass(frozen=True)
+class BundleLayout:
+    """What the files of a bundle are, without their values: ``dataio.write_bundle`` names them from it.
+
+    ``embedding_dims`` holds each modality's embedding width, None where it
+    has no embeddings; ``labelled`` says whether there are labels.
+    """
+
+    names: tuple[str, ...]
+    class_names: tuple[str, ...]
+    embedding_dims: tuple[int | None, ...]
+    labelled: bool
 
 
 @dataclass(frozen=True)
@@ -259,7 +312,6 @@ def validate_bundle(bundle: Bundle) -> ValidationResult:
                 Violation(rec.name, int(row), f"row not on simplex (sum={sums[row]:.9g})")
             )
         if rec.embeddings is not None:
-            emb = rec.embeddings.values
             if rec.embeddings.n_samples != scores.n_samples:
                 out.append(
                     Violation(
@@ -268,9 +320,10 @@ def validate_bundle(bundle: Bundle) -> ValidationResult:
                         "sample count mismatch between scores and embeddings",
                     )
                 )
-            bad = np.where(~np.isfinite(emb).all(axis=1))[0]
-            for row in bad:
-                out.append(Violation(rec.name, int(row), "non-finite embedding value"))
+            if isinstance(rec.embeddings, EmbeddingMatrix):  # EmbeddingMeans are finite by construction
+                bad = np.where(~np.isfinite(rec.embeddings.values).all(axis=1))[0]
+                for row in bad:
+                    out.append(Violation(rec.name, int(row), "non-finite embedding value"))
 
     if bundle.labels is not None:
         labels = bundle.labels.values

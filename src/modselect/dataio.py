@@ -16,7 +16,8 @@ sha256 digest, and the readers and ``load_json`` parse the text decoded
 from those bytes where the caller passes it, so a digest in a report's
 ``inputs`` describes the very bytes that were parsed. ``load_bundle``
 reads and hashes every file a manifest lists but decodes and parses only
-the kinds the caller asks for; ``read_table`` reads a stored table so.
+the kinds the caller asks for, and keeps only the column means of an
+embeddings file; ``read_table`` reads a stored table so.
 
 JSON files are written by ``dump_json``: the bytes of ``json.dump(payload,
 fh, indent=2)`` and a newline, ASCII-escaped. It builds the text itself, a
@@ -29,7 +30,9 @@ payload it does not take, or one nested deeply enough to raise
 The files of a bundle are written and read in forked processes, one share
 of the files per CPU the process may use, through ``parallel._each``, the
 primitive that also walks the fusion sweep's runs; ``taskset -c 0`` keeps
-them in one process.
+them in one process. ``write_bundle`` takes the records from a stream that
+each process opens for itself (``synth.Draws`` draws them there), so no
+process need hold the whole bundle.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from .core import (
     AccuracyTable,
     Bundle,
-    EmbeddingMatrix,
+    EmbeddingMeans,
     LabelVector,
     ModalityRecord,
     ScoreMatrix,
@@ -454,6 +457,21 @@ def load_manifest(path, text: str | None = None) -> Manifest:
     )
 
 
+def _embedding_means(path, text: str) -> tuple[list[str], list[str], EmbeddingMeans]:
+    """:func:`read_matrix_csv`'s ids and columns, and its values reduced to their column means.
+
+    A column whose sum leaves the float64 range, though every value in it
+    is finite, has no mean: ``ValueError`` names the file and the column.
+    """
+    ids, columns, values = read_matrix_csv(path, text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=0)
+    for column, mean in zip(columns, means.tolist()):
+        if not math.isfinite(mean):
+            raise ValueError(f"{path}: column {column!r}: the sum of its values overflows, so it has no mean")
+    return ids, columns, EmbeddingMeans(means, len(values))
+
+
 def _parse_cost(path: Path, parse) -> int:
     """The bytes ``parse`` has to parse in ``path``: its size, or 0 for a file only hashed."""
     if parse is None:
@@ -489,10 +507,14 @@ def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) 
     file's under its path in the manifest. The embedding files are parsed
     only if ``embeddings``, the labels file only if ``labels``; a file not
     parsed is only hashed, so it is no part of the bundle and only a
-    failure to read it is reported. The files are shared out over the CPUs
-    by parse cost, and each is checked as it comes back, in manifest order:
-    raises for the first that is unreadable or, if parsed, malformed, its
-    sample ids unlike the first parsed file's included. Raises too if the
+    failure to read it is reported. A parsed embeddings file is reduced to
+    its column means and row count (:class:`EmbeddingMeans`) in the
+    process that parsed it, so the bundle holds no embedding matrix; the
+    discrepancy (``metrics.mmd_matrix``) reads only those means. The files
+    are shared out over the CPUs by parse cost, and each is checked as it
+    comes back, in manifest order: raises for the first that is unreadable
+    or, if parsed, malformed, its sample ids unlike the first parsed
+    file's included, or an embeddings column without a mean. Raises too if the
     assembled bundle violates an invariant (for example score rows off the
     probability simplex by more than the tolerance are rejected, never
     renormalized). On two or more CPUs every parsed file's sample ids are
@@ -508,7 +530,7 @@ def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) 
     for i, entry in enumerate(manifest.modalities):
         files.append((("scores", i), entry.scores_path, read_matrix_csv))
         if entry.embeddings_path:
-            files.append((("embeddings", i), entry.embeddings_path, read_matrix_csv if embeddings else None))
+            files.append((("embeddings", i), entry.embeddings_path, _embedding_means if embeddings else None))
     if manifest.labels_path:
         files.append((("labels", None), manifest.labels_path, read_labels_csv if labels else None))
     items = [(manifest.resolve(name), parse) for _, name, parse in files]
@@ -532,7 +554,7 @@ def load_bundle(manifest_path, *, embeddings: bool = True, labels: bool = True) 
             except ValueError as err:  # a single class column
                 raise ValueError(f"{path}: {err}") from None
         else:
-            made[role] = parsed[1] if role[0] == "labels" else EmbeddingMatrix(parsed[2])
+            made[role] = parsed[1] if role[0] == "labels" else parsed[2]
 
     records = tuple(
         ModalityRecord(entry.name, made["scores", i], made.get(("embeddings", i)))
@@ -548,14 +570,49 @@ def names_a_file(name: str) -> bool:
     return not any(c in name for c in "/\\\0")
 
 
-def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
+class _Walk:
+    """One process's place in a bundle's ``stream()``: ``take(0)`` is the labels, ``take(i)`` the i-th record.
+
+    Only the item last taken is held, and it is dropped before the next is
+    drawn; asked for an earlier item, ``take`` opens the stream again. A
+    process forked before its first ``take`` opens a stream of its own.
+    """
+
+    def __init__(self, stream):
+        self.stream, self.items, self.item, self.at = stream, None, None, -1
+
+    def take(self, i: int):
+        if i < self.at:
+            self.items = self.item = None
+        if self.items is None:
+            self.items, self.at = self.stream(), -1
+        while self.at < i:
+            self.item = None
+            self.item, self.at = next(self.items), self.at + 1
+        return self.item
+
+
+def write_bundle(bundle, out_dir, dataset: str = "bundle") -> Path:
     """Write a bundle as CSV files plus a manifest; returns the manifest path.
 
-    A modality's name becomes part of its file names, so a name holding a
-    path separator or NUL, or a name given twice, is rejected before any
-    file is written.
+    ``bundle`` is a :class:`Bundle` or anything else with its ``layout``
+    and ``stream()``, such as ``synth.Draws``. The layout names the files;
+    ``stream()`` yields the labels (None if there are none), then each
+    modality's record in manifest order. The files are shared out over the
+    CPUs, and each process walks a stream of its own, holding only the
+    item it is writing; where it needs an earlier item (the labels, last in
+    manifest order, or a share ``parallel._each`` runs again in the caller)
+    it opens a fresh stream. Writing the same records so gives the same
+    bytes.
+
+    An existing ``manifest.json`` is removed before the first data file is
+    written, and the new one is written after the last, so a write that
+    fails leaves no manifest. A modality's name becomes part of its file
+    names, so a name holding a path separator or NUL, or a name given
+    twice, is rejected before any file is written or removed.
     """
-    names = [rec.name for rec in bundle.modalities]
+    layout = bundle.layout
+    names = list(layout.names)
     for name in names:
         if not names_a_file(name):
             raise ValueError(f"modality name {name!r} holds '/', '\\' or NUL and cannot name a file")
@@ -563,28 +620,41 @@ def write_bundle(bundle: Bundle, out_dir, dataset: str = "bundle") -> Path:
             raise ValueError(f"modality name {name!r} is given twice")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []  # (writer, *its arguments)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    files = []  # (position in the stream, path, embedding columns or None)
     entries = []
-    for rec in bundle.modalities:
-        scores_name = f"scores_{rec.name}.csv"
-        files.append((write_matrix_csv, out_dir / scores_name, rec.scores.values, bundle.class_names))
-        entry = {"name": rec.name, "scores_path": scores_name}
-        if rec.embeddings is not None:
-            emb_name = f"embeddings_{rec.name}.csv"
-            columns = [f"e{i}" for i in range(rec.embeddings.dim)]
-            files.append((write_matrix_csv, out_dir / emb_name, rec.embeddings.values, columns))
+    for i, (name, dim) in enumerate(zip(names, layout.embedding_dims), start=1):
+        scores_name = f"scores_{name}.csv"
+        files.append((i, out_dir / scores_name, None))
+        entry = {"name": name, "scores_path": scores_name}
+        if dim is not None:
+            emb_name = f"embeddings_{name}.csv"
+            files.append((i, out_dir / emb_name, [f"e{k}" for k in range(dim)]))
             entry["embeddings_path"] = emb_name
         entries.append(entry)
     payload = {
         "dataset": dataset,
-        "class_names": list(bundle.class_names),
+        "class_names": list(layout.class_names),
         "modalities": entries,
     }
-    if bundle.labels is not None:
-        files.append((write_labels_csv, out_dir / "labels.csv", bundle.labels))
+    if layout.labelled:
+        files.append((0, out_dir / "labels.csv", None))
         payload["labels_path"] = "labels.csv"
-    list(_each(lambda write, *args: write(*args), files))  # every file, before the manifest
-    manifest_path = out_dir / "manifest.json"
+    walk = _Walk(bundle.stream)
+
+    def write(i: int, path: Path, columns) -> None:
+        item = walk.take(i)
+        if i == 0:
+            write_labels_csv(path, item)
+        elif columns is None:
+            write_matrix_csv(path, item.scores.values, layout.class_names)
+        elif isinstance(item.embeddings, EmbeddingMeans):  # as load_bundle returns them
+            raise ValueError(f"modality {item.name!r} holds only its embedding means, which make no file")
+        else:
+            write_matrix_csv(path, item.embeddings.values, columns)
+
+    list(_each(write, files))  # every file, before the manifest
     dump_json(payload, manifest_path)
     return manifest_path
 

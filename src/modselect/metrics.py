@@ -153,9 +153,14 @@ def correlation_matrix(bundle: Bundle) -> PairMetricMatrix:
 
 
 def mmd_matrix(bundle: Bundle) -> PairMetricMatrix:
-    """Mean-embedding discrepancy matrix; entries without comparable embeddings are invalid."""
-    # Each modality's mean once, not once per pair.
-    means = [None if rec.embeddings is None else rec.embeddings.values.mean(axis=0) for rec in bundle.modalities]
+    """Mean-embedding discrepancy matrix; entries without comparable embeddings are invalid.
+
+    It reads each modality's column means, taken once per modality, not
+    once per pair: a bundle from ``dataio.load_bundle`` carries only those
+    (``core.EmbeddingMeans``), one from ``synth.generate`` its full
+    matrices. Either way every entry keeps the bits of :func:`pair_mmd`.
+    """
+    means = [None if rec.embeddings is None else rec.embeddings.means for rec in bundle.modalities]
 
     def discrepancy(a, b) -> float | None:  # pair_mmd's value
         return None if a is None or b is None or a.size != b.size else _mean_distance(a, b)

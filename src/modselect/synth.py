@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Mapping, get_type_hints
+from typing import Iterator, Mapping, get_type_hints
 
 import numpy as np
 
-from .core import Bundle, EmbeddingMatrix, LabelVector, ModalityRecord, ScoreMatrix, json_field
+from .core import Bundle, BundleLayout, EmbeddingMatrix, LabelVector, ModalityRecord, ScoreMatrix, json_field
 from .dataio import names_a_file
 
 KINDS = ("good", "random", "shifted")
@@ -199,63 +199,96 @@ def default_scenario(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
-def generate(scenario: Scenario) -> tuple[Bundle, frozenset[str]]:
-    """Materialize a scenario into a labelled bundle plus the planted-good set.
+class Draws:
+    """A scenario's seeded draws as a stream that can be opened again and again.
 
-    The draw order is fixed, so identical scenarios (same seed included)
-    produce bit-identical bundles.
+    :meth:`stream` yields the labels, then one :class:`ModalityRecord` per
+    modality, in the scenario's order; the labels and the draws every
+    modality shares are held while it runs, each record only until the
+    caller drops it. Every stream makes the same draws in the same order,
+    so each yields bit-identical records. The signal gains are calibrated
+    here, once, and take no random draws. ``layout`` says which files the
+    records make, so ``dataio.write_bundle`` writes the stream as it would
+    write :func:`generate`'s bundle.
     """
-    rng = np.random.default_rng(scenario.seed)
-    n_classes = scenario.classes
-    n_samples = scenario.samples
-    dim = scenario.embedding_dim
 
-    labels = rng.integers(0, n_classes, size=n_samples)
-    class_centers = rng.normal(0.0, 1.0, size=(n_classes, dim))
-    shared_noise = rng.normal(0.0, 1.0, size=(n_samples, n_classes))
-    onehot = np.zeros((n_samples, n_classes))
-    onehot[np.arange(n_samples), labels] = 1.0
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.gains: dict[float, float] = {}  # accuracy target -> calibrated gain ratio, each bisected once
+        for spec in scenario.modalities:
+            if spec.kind == "good" and spec.noise_scale != 0.0 and spec.accuracy not in self.gains:
+                self.gains[spec.accuracy] = _calibrate_gain(spec.accuracy, scenario.classes)
+        self.layout = BundleLayout(
+            tuple(s.name for s in scenario.modalities),
+            tuple(f"c{i}" for i in range(scenario.classes)),
+            tuple(scenario.embedding_dim if s.embeddings else None for s in scenario.modalities),
+            True,
+        )
 
-    records = []
-    gains: dict[float, float] = {}  # accuracy target -> calibrated gain ratio, each bisected once
-    for spec in scenario.modalities:
+    def stream(self) -> Iterator:
+        """The labels as a :class:`LabelVector`, then each modality's record."""
+        rng = np.random.default_rng(self.scenario.seed)
+        n_classes = self.scenario.classes
+        n_samples = self.scenario.samples
+
+        labels = rng.integers(0, n_classes, size=n_samples)
+        class_centers = rng.normal(0.0, 1.0, size=(n_classes, self.scenario.embedding_dim))
+        shared_noise = rng.normal(0.0, 1.0, size=(n_samples, n_classes))
+        onehot = np.zeros((n_samples, n_classes))
+        onehot[np.arange(n_samples), labels] = 1.0
+        yield LabelVector(labels)
+        for spec in self.scenario.modalities:
+            yield self._record(rng, spec, labels, class_centers, shared_noise, onehot)
+
+    def _record(self, rng, spec: ModalitySpec, labels, class_centers, shared_noise, onehot) -> ModalityRecord:
+        """One modality's record, drawn after the shared draws.
+
+        The arithmetic runs in place where it can, so that a good
+        modality's scores take two S x C arrays to make. Addition and
+        multiplication commute exactly, so the bits are those of
+        ``gain * onehot + noise_scale * (sqrt(c) * shared + sqrt(1 - c) * own)``.
+        """
         if spec.kind == "good":
             if spec.noise_scale == 0.0:
                 logits = _ZERO_NOISE_GAIN * onehot
             else:
-                if spec.accuracy not in gains:
-                    gains[spec.accuracy] = _calibrate_gain(spec.accuracy, n_classes)
-                gain = gains[spec.accuracy] * spec.noise_scale
-                own_noise = rng.normal(0.0, 1.0, size=(n_samples, n_classes))
-                blended = (
-                    math.sqrt(spec.coupling) * shared_noise
-                    + math.sqrt(1.0 - spec.coupling) * own_noise
-                )
-                logits = gain * onehot + spec.noise_scale * blended
+                logits = rng.normal(0.0, 1.0, size=shared_noise.shape)  # the modality's own noise
+                logits *= math.sqrt(1.0 - spec.coupling)
+                logits += math.sqrt(spec.coupling) * shared_noise
+                logits *= spec.noise_scale
+                logits += (self.gains[spec.accuracy] * spec.noise_scale) * onehot
             scores = _softmax(logits)
         else:
-            scores = rng.dirichlet(np.ones(n_classes), size=n_samples)
+            scores = rng.dirichlet(np.ones(shared_noise.shape[1]), size=len(labels))
 
         embeddings = None
         if spec.embeddings:
-            points = class_centers[labels].copy()
+            points = class_centers[labels]  # a new array: fancy indexing copies
             if spec.embedding_offset > 0.0:
-                direction = rng.normal(0.0, 1.0, size=dim)
+                direction = rng.normal(0.0, 1.0, size=class_centers.shape[1])
                 direction /= np.linalg.norm(direction)
                 points += spec.embedding_offset * direction
             if spec.noise_scale > 0.0:
-                points += spec.noise_scale * rng.normal(0.0, 1.0, size=(n_samples, dim))
+                noise = rng.normal(0.0, 1.0, size=points.shape)
+                noise *= spec.noise_scale
+                points += noise
             embeddings = EmbeddingMatrix(points)
+        return ModalityRecord(spec.name, ScoreMatrix(scores, self.layout.class_names), embeddings)
 
-        class_names = tuple(f"c{i}" for i in range(n_classes))
-        records.append(
-            ModalityRecord(spec.name, ScoreMatrix(scores, class_names), embeddings)
-        )
 
-    bundle = Bundle(tuple(records), LabelVector(labels))
-    return bundle, scenario.planted_good
+def generate(scenario: Scenario) -> tuple[Bundle, frozenset[str]]:
+    """Materialize a scenario's :class:`Draws` into a labelled bundle plus the planted-good set.
+
+    The draw order is fixed, so identical scenarios (same seed included)
+    produce bit-identical bundles, and ``dataio.write_bundle`` writes the
+    same bytes from this bundle as from the draws' stream.
+    """
+    labels, *records = Draws(scenario).stream()
+    return Bundle(tuple(records), labels), scenario.planted_good

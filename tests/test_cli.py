@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -83,6 +84,51 @@ def test_synth_rejects_a_modality_name_that_leaves_the_out_dir(tmp_path, capsys)
     assert not out_dir.exists()  # rejected with the scenario, before the bundle is generated
     written = [p for p in tmp_path.rglob("*") if p.is_file() and p != spath]
     assert not [p for p in written if out_dir not in p.parents]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("failing", ["scores_good2.csv", "embeddings_good2.csv"])
+def test_a_failed_synth_leaves_no_manifest(bundle_dir, tmp_path, monkeypatch, capsys, cpus, failing, n_cpus):
+    # On two CPUs the files are dealt in turn: the caller writes every score
+    # file of the good modalities, a forked child their embeddings.
+    capsys.readouterr()
+    caller, write = os.getpid(), dataio.write_matrix_csv
+
+    def full_disk(path, *args):
+        if Path(path).name == failing:
+            raise OSError(errno.ENOSPC, f"no space in {'the caller' if os.getpid() == caller else 'a forked child'}")
+        write(path, *args)
+
+    cpus(n_cpus)
+    monkeypatch.setattr(dataio, "write_matrix_csv", full_disk)
+    argv = ["--seed", 8, "--samples", 250, "--classes", 5, "--dim", 6, "--out-dir", bundle_dir]
+    assert run_cli("synth", *argv) == 1
+    where = "a forked child" if n_cpus == 2 and failing.startswith("embeddings") else "the caller"
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] no space in {where}\n"
+    assert not (bundle_dir / "manifest.json").exists() and not (bundle_dir / "ground_truth.json").exists()
+    assert (bundle_dir / "scores_good1.csv").exists()  # the earlier bundle's data files stay
+    assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", tmp_path / "table") == 1
+    assert "manifest.json" in capsys.readouterr().err
+
+
+# Both selection modes, each with a computed and with a given discrepancy threshold.
+SELECT_OPTIONS = [[], ["--delta-mmd", "1.0"], ["--mode", "pairs"], ["--mode", "pairs", "--delta-mmd", "1.0"]]
+
+
+@pytest.mark.parametrize("options", SELECT_OPTIONS, ids=lambda options: " ".join(options) or "default")
+def test_an_embeddings_column_whose_sum_overflows_is_named(bundle_dir, tmp_path, capsys, options):
+    # Every value is finite, but 250 rows of 1.5e308 sum beyond the float64
+    # range: the column has no mean, so no discrepancy can be taken from it.
+    path = bundle_dir / "embeddings_good1.csv"
+    _, columns, values = dataio.read_matrix_csv(path)
+    values[:, 2] = 1.5e308
+    dataio.write_matrix_csv(path, values, columns)
+    out = tmp_path / "selection.json"
+    capsys.readouterr()
+    assert run_cli("select", "--manifest", bundle_dir / "manifest.json", "--out", out, *options) == 1
+    reason = "column 'e2': the sum of its values overflows, so it has no mean"
+    assert capsys.readouterr().err == f"error: {path.resolve()}: {reason}\n"
+    assert not out.exists()
 
 
 def test_evaluate_writes_table_and_is_deterministic(bundle_dir, tmp_path):

@@ -44,6 +44,20 @@ def test_matrices_are_immutable(rng):
         em.values[0, 0] = 1.0
 
 
+def test_embedding_means_structural_checks(rng):
+    for means, n_samples in [(np.zeros(0), 3), (np.zeros((2, 2)), 3), (np.array([0.0, np.inf]), 3), (np.zeros(2), 0)]:
+        with pytest.raises(ValueError):
+            core.EmbeddingMeans(means, n_samples)
+    values = rng.normal(size=(5, 3))
+    means = core.EmbeddingMeans(EmbeddingMatrix(values).means, 5)
+    assert (means.dim, means.n_samples) == (3, 5) and not means.means.flags.writeable
+    records = [ModalityRecord(name, ScoreMatrix(simplex_rows(rng, n, 3)), means) for name, n in (("a", 5), ("b", 4))]
+    assert [str(v) for v in validate_bundle(Bundle(tuple(records))).violations] == [
+        "b: sample count mismatch (4 vs 5)",
+        "b: sample count mismatch between scores and embeddings",
+    ]
+
+
 def test_label_vector_as_array():
     lv = LabelVector([0, 1, 2])
     assert len(lv) == 3

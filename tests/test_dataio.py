@@ -53,10 +53,16 @@ def test_bundle_round_trip_bit_identical(tmp_path, bundle):
         if original.embeddings is None:
             assert reloaded.embeddings is None
         else:
-            assert np.array_equal(original.embeddings.values, reloaded.embeddings.values)
+            # load_bundle keeps the column means; the file keeps every value.
+            _, _, values = read_matrix_csv(tmp_path / f"embeddings_{original.name}.csv")
+            assert np.array_equal(original.embeddings.values, values)
+            assert reloaded.embeddings.means.tobytes() == original.embeddings.means.tobytes()
+            assert reloaded.embeddings.n_samples == original.embeddings.n_samples
     assert np.array_equal(loaded.labels.values, bundle.labels.values)
     assert str(manifest) in digests
     assert all(len(v) == 64 for v in digests.values())
+    with pytest.raises(ValueError, match="'good1' holds only its embedding means"):
+        write_bundle(loaded, tmp_path / "again")
 
 
 def test_matrix_csv_round_trip_extreme_values(tmp_path):
@@ -107,20 +113,28 @@ def test_load_bundle_holds_less_than_the_text_of_a_tall_narrow_bundle(tmp_path, 
     # On two CPUs every file's sample ids are held until the last file is
     # checked. As one string per file they take a few bytes per sample; one
     # string object per sample per file would take about twice the text.
+    # Each embeddings file is reduced to its column means where it is
+    # parsed, so the bundle holds no S x d matrix, only the scores and labels.
     rng = np.random.default_rng(5)
-    samples = 10000
-    bundle = make_bundle([simplex_rows(rng, samples, 2) for _ in range(8)], labels=rng.integers(0, 2, samples))
+    samples, dim = 10000, 2
+    scores = [simplex_rows(rng, samples, 2) for _ in range(8)]
+    embeddings = [rng.normal(size=(samples, dim)) for _ in range(8)]
+    bundle = make_bundle(scores, labels=rng.integers(0, 2, samples), embeddings=embeddings)
     manifest = write_bundle(bundle, tmp_path)
     text = sum(path.stat().st_size for path in tmp_path.iterdir())
     cpus(2)
     load_bundle(manifest)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
-        load_bundle(manifest)
-        peak = tracemalloc.get_traced_memory()[1]
+        loaded, _ = load_bundle(manifest)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < text, (peak, text)
+    arrays = sum(rec.scores.values.nbytes for rec in loaded.modalities) + loaded.labels.values.nbytes
+    assert held - arrays < samples * dim * 8, (held - arrays) / (samples * dim * 8)
+    for rec, original in zip(loaded.modalities, embeddings):
+        assert rec.embeddings.means.tobytes() == original.mean(axis=0).tobytes()
 
 
 def test_simplex_violation_rejected_on_load(tmp_path, rng):

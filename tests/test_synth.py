@@ -1,14 +1,20 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from modselect import mpca, pair_correlation, predict, synth, validate_bundle
+from modselect import dataio, mpca, pair_correlation, parallel, predict, synth, validate_bundle
+from modselect.cli import main
 from modselect.metrics import aggregated_from_matrices, correlation_matrix, mmd_matrix
 from modselect.synth import (
+    KINDS,
     ModalitySpec,
     Scenario,
     default_scenario,
@@ -203,3 +209,70 @@ def test_scenario_dict_round_trip():
     bundle_a, _ = generate(scenario)
     bundle_b, _ = generate(clone)
     assert np.array_equal(bundle_a.labels.values, bundle_b.labels.values)
+
+
+SPECS = st.fixed_dictionaries({
+    "kind": st.sampled_from(KINDS),
+    "accuracy": st.sampled_from([0.6, 0.8]),  # few targets, so that some repeat
+    "noise_scale": st.sampled_from([0.0, 0.5, 1.0]),
+    "embedding_offset": st.sampled_from([0.0, 2.0]),
+    "embeddings": st.booleans(),
+})
+
+
+def _digests(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    specs=st.lists(SPECS, min_size=1, max_size=4),
+    classes=st.integers(2, 4),
+    samples=st.integers(1, 30),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    cpus=st.sampled_from(["two", "one", "caller re-runs the child's share"]),
+)
+def test_synth_streams_the_bytes_of_the_generated_bundle(tmp_path_factory, specs, classes, samples, dim, seed, cpus):
+    specs = tuple(ModalitySpec(f"m{i}", **spec) for i, spec in enumerate(specs))
+    scenario = Scenario(classes, samples, dim, specs, seed)
+    work = tmp_path_factory.mktemp("stream")
+    want = dataio.write_bundle(generate(scenario)[0], work / "want", dataset=f"synthetic-seed{seed}").parent
+    path = work / "scenario.json"
+    dataio.dump_json(scenario.to_dict(), path)
+    affinity = os.sched_getaffinity(0)
+    with pytest.MonkeyPatch.context() as patch:
+        if cpus == "one":
+            os.sched_setaffinity(0, {min(affinity)})
+        elif cpus != "two":  # no child is forked, so the caller runs every share, opening the stream again
+            patch.setattr(parallel, "_fork", lambda fn, share: None)
+        try:
+            assert main(["synth", "--scenario", str(path), "--out-dir", str(work / "got")]) == 0
+        finally:
+            os.sched_setaffinity(0, affinity)
+    got = _digests(work / "got")
+    assert got.pop("ground_truth.json")
+    assert got == _digests(want)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_synth_holds_one_modality_at_a_time(tmp_path, cpus, n_cpus):
+    # Each process draws the records it writes one at a time, so beyond the
+    # draws every modality shares it never holds two modalities' arrays.
+    samples, classes, dim = 4000, 20, 32
+    specs = [ModalitySpec(f"good{i + 1}", "good") for i in range(6)]
+    specs += [ModalitySpec("random1", "random", embeddings=False), ModalitySpec("shifted1", "shifted", embedding_offset=5.0)]
+    path, small = tmp_path / "scenario.json", tmp_path / "small.json"
+    dataio.dump_json(Scenario(classes, samples, dim, tuple(specs), seed=1).to_dict(), path)
+    dataio.dump_json(Scenario(classes, 10, dim, tuple(specs), seed=1).to_dict(), small)
+    cpus(n_cpus)
+    assert main(["synth", "--scenario", str(small), "--out-dir", str(tmp_path / "warm")]) == 0  # imports, caches
+    tracemalloc.start()
+    try:
+        assert main(["synth", "--scenario", str(path), "--out-dir", str(tmp_path / "bundle")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    modality = samples * (classes + dim) * 8  # scores and embeddings
+    shared = samples * 8 + classes * dim * 8 + 2 * samples * classes * 8  # labels, class centres, shared noise, one-hot
+    assert peak < 2 * modality + shared, peak / modality
