@@ -143,6 +143,8 @@ def cmd_synth(args) -> int:
         except ValueError as err:
             raise ValueError(f"{args.scenario}: {err}") from None
     else:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, not {args.seed}")
         scenario = default_scenario(
             seed=args.seed,
             samples=args.samples,

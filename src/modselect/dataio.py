@@ -17,7 +17,8 @@ from those bytes where the caller passes it, so a digest in a report's
 ``inputs`` describes the very bytes that were parsed. ``load_bundle``
 reads and hashes every file a manifest lists but decodes and parses only
 the kinds the caller asks for, and keeps only the column means of an
-embeddings file; ``read_table`` reads a stored table so.
+embeddings file; ``read_table`` reads a stored table so, and drops its
+text once it is parsed.
 
 JSON files are written by ``dump_json``: the bytes of ``json.dump(payload,
 fh, indent=2)`` and a newline, ASCII-escaped. It builds the text itself, a
@@ -389,7 +390,11 @@ def load_table(path, text: str | None = None) -> AccuracyTable:
 
     ``text`` is the file's text where it was read already.
     """
-    payload = load_json(path, text)
+    return _table(path, load_json(path, text))
+
+
+def _table(path, payload) -> AccuracyTable:
+    """The accuracy table in a parsed table file's ``payload``."""
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: accuracy table file must hold a JSON object")
     try:
@@ -399,11 +404,18 @@ def load_table(path, text: str | None = None) -> AccuracyTable:
 
 
 def read_table(path) -> tuple[AccuracyTable, str]:
-    """``load_table`` from one read of the file, and the sha256 digest of the bytes it parsed."""
+    """``load_table`` from one read of the file, and the sha256 digest of the bytes it parsed.
+
+    Each form of the file is dropped once the next is made: the bytes
+    once they are decoded, the text once ``json.loads`` returns. So the
+    table is built from the parsed payload alone, without the text beside it.
+    """
     data, digest = _read_hashed(path)
     text = _json_text(path, data)
-    del data  # not held while the text is parsed
-    return load_table(path, text), digest
+    del data
+    payload = load_json(path, text)
+    del text
+    return _table(path, payload), digest
 
 
 @dataclass(frozen=True)

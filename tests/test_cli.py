@@ -111,6 +111,26 @@ def test_a_failed_synth_leaves_no_manifest(bundle_dir, tmp_path, monkeypatch, ca
     assert "manifest.json" in capsys.readouterr().err
 
 
+def _file_digests(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("source", ["flag", "scenario file"])
+def test_a_negative_seed_is_named_and_leaves_the_bundle_whole(bundle_dir, tmp_path, capsys, source):
+    # numpy takes no negative seed; the scenario is refused before the out-dir is touched.
+    before = _file_digests(bundle_dir)
+    capsys.readouterr()
+    if source == "flag":
+        argv, message = ["--seed", -1], "--seed must be a non-negative integer, not -1"
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**default_scenario().to_dict(), "seed": -1}))
+        argv, message = ["--scenario", path], f"{path}: scenario: 'seed' must be a non-negative integer, not -1"
+    assert run_cli("synth", *argv, "--out-dir", bundle_dir) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _file_digests(bundle_dir) == before
+
+
 # Both selection modes, each with a computed and with a given discrepancy threshold.
 SELECT_OPTIONS = [[], ["--delta-mmd", "1.0"], ["--mode", "pairs"], ["--mode", "pairs", "--delta-mmd", "1.0"]]
 

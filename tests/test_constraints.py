@@ -3,7 +3,8 @@
 Work is shared over CPUs only through ``parallel._each``, which forks: no
 thread pool, no ``multiprocessing``, no subprocess. Nothing is configured
 through environment variables. ``fuse`` states each fusion rule apart from
-the sweep's kernels, which the tests hold to it.
+the sweep's kernels, which the tests hold to it. No module reaches
+``numpy.polynomial``: ``synth`` stores the quadrature rule it would solve.
 """
 
 import ast
@@ -53,3 +54,18 @@ def test_fuse_reaches_none_of_the_sweeps_kernels():
             todo += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
     assert "_borda_points" in reached
     assert not reached & {"_median_network", "_network", "_clamp", "_mean", "_FOLDS"}
+
+
+def test_no_module_reaches_numpy_polynomial():
+    # synth stores its Gauss-Hermite rule, so no process imports numpy.polynomial or solves the rule.
+    for path in sorted(Path(modselect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '')}"
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "polynomial", f"{where} reaches .polynomial"
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("numpy.polynomial") for alias in node.names), where
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert not (node.module or "").startswith("numpy.polynomial") and not (
+                    node.module == "numpy" and "polynomial" in names), where

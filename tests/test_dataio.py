@@ -513,12 +513,17 @@ def test_dump_json_hands_deep_nesting_to_json_dump(tmp_path, monkeypatch, shape)
     assert want[1] is not None and want[1][0] is RecursionError  # the deepest payload is beyond json.dump
 
 
-def test_dump_json_holds_a_small_part_of_a_large_table(tmp_path):
+def _wide_table() -> AccuracyTable:
+    """A 12-modality table: 4095 combinations x 6 rules."""
     names = tuple(f"m{i:02d}" for i in range(12))
     strategies = ("sum", "sqsum", "product", "max", "median", "borda")
     values = np.random.default_rng(3).uniform(0.1, 0.9, (4095, 6))
     values[:12] = values[:12, :1]  # singletons agree across strategies
-    payload = {"schema": 1, "table": AccuracyTable(names, strategies, values).to_dict()}
+    return AccuracyTable(names, strategies, values)
+
+
+def test_dump_json_holds_a_small_part_of_a_large_table(tmp_path):
+    payload = {"schema": 1, "table": _wide_table().to_dict()}
     tracemalloc.start()
     try:
         dump_json(payload, tmp_path / "table.json")
@@ -528,6 +533,33 @@ def test_dump_json_holds_a_small_part_of_a_large_table(tmp_path):
     written = (tmp_path / "table.json").stat().st_size
     assert (tmp_path / "table.json").read_bytes() == json_dump_file(payload, tmp_path / "want.json")[0]
     assert peak < written / 8, (peak, written)
+
+
+def test_read_table_builds_the_table_without_its_text(tmp_path, monkeypatch):
+    path = tmp_path / "table.json"
+    dump_json({"schema": 1, "table": _wide_table().to_dict()}, path)
+    text = path.read_text(encoding="utf-8")
+    json.loads(text)  # warms the allocator's free lists
+    entry, build = [], AccuracyTable.from_dict
+
+    def traced(cls, payload):
+        entry.append(tracemalloc.get_traced_memory()[0])
+        return build(payload)
+
+    monkeypatch.setattr(AccuracyTable, "from_dict", classmethod(traced))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        payload = json.loads(text)
+        parsed = tracemalloc.get_traced_memory()[0] - start
+        del payload
+        start = tracemalloc.get_traced_memory()[0]
+        table, _ = dataio.read_table(path)
+    finally:
+        tracemalloc.stop()
+    assert table.values.tobytes() == _wide_table().values.tobytes()
+    # On entry to from_dict only the parsed payload is held: not the text, nor the bytes.
+    assert entry[0] - start < parsed + len(text) / 8, (entry[0] - start - parsed, len(text))
 
 
 # --- Fast readers and writers against the csv module -----------------------

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -109,11 +111,30 @@ def test_calibrated_gain_keeps_its_bits(target, n_classes):
     assert synth._calibrate_gain(target, n_classes).hex() == PINNED_GAINS[target, n_classes]
 
 
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_calibrated_gains_keep_their_bits_under_other_blas_kernels(kernel):
+    # OpenBLAS picks its kernels by CPU, and they add in different orders;
+    # the quadrature's sum is numpy's left-to-right fold, which none of them runs.
+    code = "import json, sys; from modselect.synth import _calibrate_gain\n" \
+           "print(*(_calibrate_gain(t, c).hex() for t, c in json.load(sys.stdin)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(synth.__file__).parents[1]), "OPENBLAS_CORETYPE": kernel}
+    out = subprocess.run([sys.executable, "-c", code], input=json.dumps(list(PINNED_GAINS)),
+                         env=env, capture_output=True, text=True, check=True)
+    assert dict(zip(PINNED_GAINS, out.stdout.split())) == PINNED_GAINS
+
+
+def test_the_stored_rule_is_hermegauss_bit_for_bit():
+    nodes, weights = np.polynomial.hermite_e.hermegauss(201)
+    assert synth._HERMITE_NODES.tobytes() == nodes.tobytes()
+    assert synth._HERMITE_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_importing_the_package_leaves_scipy_out():
-    code = "import sys, modselect, modselect.cli; print('scipy' in sys.modules)"
+    # Nor numpy.polynomial: synth stores its quadrature rule instead of solving it.
+    code = "import sys, modselect, modselect.cli; print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(synth.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_generate_calibrates_each_target_once(monkeypatch):
@@ -274,5 +295,89 @@ def test_synth_holds_one_modality_at_a_time(tmp_path, cpus, n_cpus):
     finally:
         tracemalloc.stop()
     modality = samples * (classes + dim) * 8  # scores and embeddings
-    shared = samples * 8 + classes * dim * 8 + 2 * samples * classes * 8  # labels, class centres, shared noise, one-hot
+    shared = samples * 8 + classes * dim * 8 + samples * classes * 8  # labels, class centres, shared noise
     assert peak < 2 * modality + shared, peak / modality
+
+
+def _reference_records(scenario: Scenario):
+    """``generate``'s labels and arrays by whole-array formulas, in its draw order."""
+    rng = np.random.default_rng(scenario.seed)
+    n_samples, n_classes, dim = scenario.samples, scenario.classes, scenario.embedding_dim
+    labels = rng.integers(0, n_classes, size=n_samples)
+    centers = rng.normal(0.0, 1.0, size=(n_classes, dim))
+    shared = rng.normal(0.0, 1.0, size=(n_samples, n_classes))
+    onehot = np.eye(n_classes)[labels]
+    records = []
+    for spec in scenario.modalities:
+        if spec.kind == "good":
+            if spec.noise_scale == 0.0:
+                logits = synth._ZERO_NOISE_GAIN * onehot
+            else:
+                own = rng.normal(0.0, 1.0, size=(n_samples, n_classes))
+                gain = synth._calibrate_gain(spec.accuracy, n_classes) * spec.noise_scale
+                noise = math.sqrt(1.0 - spec.coupling) * own + math.sqrt(spec.coupling) * shared
+                logits = spec.noise_scale * noise + gain * onehot
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            scores = exp / exp.sum(axis=1, keepdims=True)
+        else:
+            scores = rng.dirichlet(np.ones(n_classes), size=n_samples)
+        points = None
+        if spec.embeddings:
+            points = centers[labels]
+            if spec.embedding_offset > 0.0:
+                direction = rng.normal(0.0, 1.0, size=dim)
+                points = points + spec.embedding_offset * (direction / np.linalg.norm(direction))
+            if spec.noise_scale > 0.0:
+                points = points + spec.noise_scale * rng.normal(0.0, 1.0, size=(n_samples, dim))
+        records.append((scores, points))
+    return labels, records
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    specs=st.lists(
+        st.fixed_dictionaries({
+            "kind": st.sampled_from(KINDS),
+            "accuracy": st.sampled_from([0.6, 0.9]),
+            "coupling": st.sampled_from([0.0, 0.85, 1.0]),
+            "noise_scale": st.sampled_from([0.0, 0.7, 1.0]),
+            "embedding_offset": st.sampled_from([0.0, 3.0]),
+            "embeddings": st.booleans(),
+        }),
+        min_size=1, max_size=3,
+    ),
+    classes=st.integers(2, 5),
+    samples=st.sampled_from([1, 7, synth._BLOCK_ROWS, synth._BLOCK_ROWS + 1, 2 * synth._BLOCK_ROWS + 3]),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generate_keeps_the_bits_of_the_whole_array_formulas(specs, classes, samples, dim, seed):
+    scenario = Scenario(classes, samples, dim, tuple(ModalitySpec(f"m{i}", **s) for i, s in enumerate(specs)), seed)
+    bundle, _ = generate(scenario)
+    labels, records = _reference_records(scenario)
+    assert bundle.labels.values.tobytes() == labels.tobytes()
+    for record, (scores, points) in zip(bundle.modalities, records, strict=True):
+        assert record.scores.values.tobytes() == scores.tobytes(), record.name
+        assert (record.embeddings is None) == (points is None)
+        if points is not None:
+            assert record.embeddings.values.tobytes() == points.tobytes(), record.name
+
+
+def test_generate_holds_one_score_matrix_and_one_block_beyond_its_result():
+    # At bundle-tall scale. Beyond the bundle it returns, generate holds the
+    # shared noise (one S x C array), one block of rows of a sum being made in
+    # place, and a few S-vectors (the label index, row maxima and sums).
+    samples, classes, dim = 2000, 20, 32
+    specs = [ModalitySpec(f"good{i + 1}", "good") for i in range(6)]
+    specs += [ModalitySpec("random1", "random", embeddings=False), ModalitySpec("shifted1", "shifted", embedding_offset=5.0)]
+    generate(Scenario(classes, 10, dim, tuple(specs), seed=1))  # imports, caches
+    tracemalloc.start()
+    try:
+        bundle, _ = generate(Scenario(classes, samples, dim, tuple(specs), seed=1))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    shared = samples * classes * 8
+    block = synth._BLOCK_ROWS * max(classes, dim) * 8
+    assert held > len(specs) * shared and bundle.n_samples == samples
+    assert peak - held <= shared + block + 4 * samples * 8, (peak - held) / shared
