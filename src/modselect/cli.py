@@ -21,7 +21,7 @@ from .fixtures import FIXTURE_DATASETS, load_fixture
 from .fusion import ALL_STRATEGIES, parse_strategies, sweep
 from .quantify import contribution_report
 from .select import CONSENSUS_MODES, SELECTION_MODES, ThresholdConfig, run_modselect
-from .synth import Draws, Scenario, default_scenario
+from .synth import COUNT_FLOORS, Draws, Scenario, default_scenario
 
 # No command calls generate; it is imported only because perfbench's tracer
 # patches cli.generate by name (tracing.CALLS).
@@ -34,15 +34,20 @@ def _sweep_manifest(args) -> tuple[AccuracyTable, dict, list[str]]:
     The sweep scores fused predictions against labels; the embedding files
     are hashed, not parsed.
     """
-    bundle, digests = dataio.load_bundle(args.manifest, embeddings=False)
-    strategies = parse_strategies(args.strategies)
-    return sweep(bundle, strategies), digests, [s.value for s in strategies]
+    strategies = parse_strategies(args.strategies)  # before the load, so a bad token fails fast
+    loaded = list(dataio.load_bundle(args.manifest, embeddings=False))
+    digests = loaded.pop()
+    # No name here holds the bundle, so the sweep can free each modality's
+    # row-major scores once it has made their class-major copy.
+    return sweep(loaded.pop(), strategies), digests, [s.value for s in strategies]
 
 
 def cmd_evaluate(args) -> int:
-    table, digests, strategies = _sweep_manifest(args)
     base = Path(args.out)
     json_path, csv_path = (base.with_name(base.name + suffix) for suffix in (".json", ".csv"))
+    table, digests, strategies = _sweep_manifest(args)
+    for path in (json_path, csv_path):  # so a failed write leaves no old table beside a new one
+        path.unlink(missing_ok=True)
     payload = {
         "schema": 1,
         "tool": _tool_block(),
@@ -143,14 +148,12 @@ def cmd_synth(args) -> int:
         except ValueError as err:
             raise ValueError(f"{args.scenario}: {err}") from None
     else:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, not {args.seed}")
-        scenario = default_scenario(
-            seed=args.seed,
-            samples=args.samples,
-            classes=args.classes,
-            embedding_dim=args.dim,
-        )
+        counts = {"classes": args.classes, "samples": args.samples, "embedding_dim": args.dim, "seed": args.seed}
+        for (field, value), flag in zip(counts.items(), ("--classes", "--samples", "--dim", "--seed")):
+            least, what = COUNT_FLOORS[field]
+            if value < least:
+                raise ValueError(f"{flag} must be {what}, not {value}")
+        scenario = default_scenario(**counts)
     truth_path = Path(args.out_dir) / "ground_truth.json"
     truth_path.unlink(missing_ok=True)  # with the manifest, so a failed write leaves neither
     # Each process writing the bundle draws the scenario's records itself,

@@ -296,8 +296,13 @@ def sweep(
     Singleton combinations involve no fusion, so they are evaluated once and
     replicated across strategies. The sweep works on one class-major (C x S)
     float64 copy of each modality's scores, plus, for Borda, each member's
-    points in the narrowest unsigned integer type that holds C - 1. Each
-    strategy walks the combinations depth first: a combination folds its
+    points in the narrowest unsigned integer type that holds C - 1. It
+    lets go of the bundle, and of each row-major score matrix as soon as
+    that matrix's copy exists: when the caller keeps no other reference to
+    the bundle, as ``cli`` does, the loaded scores are freed one by one and
+    one float64 copy of them is held; a caller that keeps its bundle holds
+    both copies for the whole sweep.
+    Each strategy walks the combinations depth first: a combination folds its
     last member's term into its prefix's fused scores, with the same bits
     as ``fuse`` but for the sign of a zero, in float64; squared sum squares
     each new member into a spare row as it goes. Borda's sums are whole
@@ -424,7 +429,10 @@ def sweep(
     if borda in strategy_list:
         points = np.min_scalar_type(matrices[0].shape[1] - 1)
         terms[borda] = [fuse(borda, [m]).T.astype(points, order="C") for m in matrices]
-    columns = [np.ascontiguousarray(m.T) for m in matrices]
+    # If the caller holds no other reference to the bundle, each row-major
+    # matrix is freed as soon as its copy exists.
+    del bundle
+    columns = [np.ascontiguousarray(matrices.pop(0).T) for _ in range(n)]
     # Depth first, which is lexicographic order: a combination comes after
     # its prefix, and the combinations in between are longer than the
     # prefix, so the prefix's fused scores are still in their row.

@@ -176,6 +176,16 @@ class ModalitySpec:
         })
 
 
+# Each of a scenario's counts, its least value and how an error says so;
+# numpy seeds a generator only from a non-negative integer.
+COUNT_FLOORS = {
+    "classes": (2, "an integer of at least 2"),
+    "samples": (1, "a positive integer"),
+    "embedding_dim": (1, "a positive integer"),
+    "seed": (0, "a non-negative integer"),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     classes: int
@@ -185,14 +195,9 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("scenario needs at least two classes")
-        if self.samples < 1:
-            raise ValueError("scenario needs at least one sample")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding dimension must be positive")
-        if self.seed < 0:  # numpy seeds a generator only from a non-negative integer
-            raise ValueError(f"scenario: 'seed' must be a non-negative integer, not {self.seed}")
+        for field, (least, what) in COUNT_FLOORS.items():
+            if (value := getattr(self, field)) < least:
+                raise ValueError(f"scenario: {field!r} must be {what}, not {value}")
         specs = tuple(self.modalities)
         if not specs:
             raise ValueError("scenario needs at least one modality")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -131,6 +132,27 @@ def test_a_negative_seed_is_named_and_leaves_the_bundle_whole(bundle_dir, tmp_pa
     assert _file_digests(bundle_dir) == before
 
 
+@pytest.mark.parametrize("field, flag, value, what", [
+    ("samples", "--samples", 0, "a positive integer"),
+    ("samples", "--samples", -5, "a positive integer"),
+    ("classes", "--classes", 1, "an integer of at least 2"),
+    ("embedding_dim", "--dim", 0, "a positive integer"),
+])
+@pytest.mark.parametrize("source", ["flag", "scenario file"])
+def test_a_bad_synth_count_names_its_flag_or_field(bundle_dir, tmp_path, capsys, source, field, flag, value, what):
+    before = _file_digests(bundle_dir)
+    capsys.readouterr()
+    if source == "flag":
+        argv, message = [flag, value], f"{flag} must be {what}, not {value}"
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**default_scenario().to_dict(), field: value}))
+        argv, message = ["--scenario", path], f"{path}: scenario: {field!r} must be {what}, not {value}"
+    assert run_cli("synth", *argv, "--out-dir", bundle_dir) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _file_digests(bundle_dir) == before
+
+
 # Both selection modes, each with a computed and with a given discrepancy threshold.
 SELECT_OPTIONS = [[], ["--delta-mmd", "1.0"], ["--mode", "pairs"], ["--mode", "pairs", "--delta-mmd", "1.0"]]
 
@@ -187,6 +209,52 @@ def test_evaluate_requires_labels(tmp_path, bundle_dir, capsys):
     stripped.write_text(json.dumps(manifest))
     assert run_cli("evaluate", "--manifest", stripped, "--out", tmp_path / "t") == 1
     assert "sweep requires ground truth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "contribution"])
+def test_a_bad_strategy_is_named_before_the_manifest_is_read(tmp_path, capsys, command):
+    argv = ["--manifest", tmp_path / "missing.json", "--strategies", "sum,bogus", "--out", tmp_path / "out"]
+    assert run_cli(command, *argv) == 1
+    valid = "sum, sqsum, product, max, median, borda"
+    assert capsys.readouterr().err == f"error: unknown strategy 'bogus'; valid: {valid}\n"
+
+
+def test_a_failed_evaluate_leaves_no_old_table_csv(bundle_dir, tmp_path, monkeypatch, capsys):
+    base = tmp_path / "table"
+    assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", base) == 0
+
+    def full_disk(path, table):
+        raise OSError(errno.ENOSPC, "no space")
+
+    monkeypatch.setattr(dataio, "write_table_csv", full_disk)
+    assert run_cli("evaluate", "--manifest", bundle_dir / "manifest.json", "--out", base, "--strategies", "sum") == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] no space\n"
+    assert not base.with_suffix(".csv").exists()
+    assert json.loads(base.with_suffix(".json").read_text())["config"]["strategies"] == ["sum"]
+
+
+def test_evaluate_frees_the_loaded_scores_as_the_sweep_copies_them(tmp_path, cpus):
+    # On one CPU the load and the sweep run in this process. No name keeps
+    # the loaded bundle, so the sweep holds its M class-major copies, n + 1
+    # output rows and Borda's uint8 points but not the row-major scores as
+    # well: 2M + 5 C x S float64 matrices, where row-major scores held
+    # through the sweep would take 3M + 1 and more. A first run leaves out
+    # what the first use of each module allocates.
+    cpus(1)
+    n_samples, n_classes = 2000, 20
+    bundle = tmp_path / "bundle"
+    argv = ["--seed", 3, "--samples", n_samples, "--classes", n_classes, "--dim", 4, "--out-dir", bundle]
+    assert run_cli("synth", *argv) == 0
+    evaluate = ["evaluate", "--manifest", bundle / "manifest.json", "--out", tmp_path / "table"]
+    assert run_cli(*evaluate) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(*evaluate) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_modalities = len(default_scenario().modalities)
+    assert peak <= (2 * n_modalities + 5) * n_classes * n_samples * 8
 
 
 def test_contribution_sources_agree(bundle_dir, tmp_path):

@@ -562,6 +562,25 @@ def test_a_sweep_holds_one_float64_copy_per_modality(cpus, monkeypatch, n_modali
     assert [t.dtype for t in terms[FusionStrategy.BORDA_COUNT]] == [np.dtype(np.uint8)] * n_modalities
 
 
+@pytest.mark.parametrize("n_modalities, n_samples, n_classes", [(6, 2000, 10), (8, 4000, 20)])
+def test_a_sweep_given_the_only_reference_frees_the_row_major_scores(cpus, n_modalities, n_samples, n_classes):
+    # The bundle is built under tracemalloc and only the call holds it, so
+    # its M row-major matrices count. The sweep drops each once its
+    # class-major copy exists: M copies, n + 1 output rows, Borda's uint8
+    # points and the transients fit in 2M + 5 C x S float64 matrices, where
+    # row-major scores held through the sweep would take 3M + 1 and more.
+    cpus(1)
+    rng = np.random.default_rng(n_modalities)
+    labels = rng.integers(0, n_classes, n_samples)
+    tracemalloc.start()
+    try:
+        sweep(make_bundle([simplex_rows(rng, n_samples, n_classes) for _ in range(n_modalities)], labels=labels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * n_modalities + 5) * n_classes * n_samples * 8
+
+
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_a_single_tied_maximum_is_scored_as_argmax_does(cpus, n_cpus):
     # Sample 0's true class is 1. Under sum and median m0 and m1 tie

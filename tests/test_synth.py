@@ -195,7 +195,7 @@ def test_infeasible_accuracy_target_rejected():
 
 def test_scenario_validation():
     good = ModalitySpec("g", "good")
-    with pytest.raises(ValueError, match="two classes"):
+    with pytest.raises(ValueError, match="^scenario: 'classes' must be an integer of at least 2, not 1$"):
         Scenario(1, 10, 4, (good,), seed=0)
     with pytest.raises(ValueError, match="distinct"):
         Scenario(5, 10, 4, (good, good), seed=0)
