@@ -207,6 +207,10 @@ class Bundle:
 
     @property
     def layout(self) -> "BundleLayout":
+        """What files the bundle makes; ValueError names a modality that holds only embedding means, which make none."""
+        for rec in self.modalities:
+            if isinstance(rec.embeddings, EmbeddingMeans):
+                raise ValueError(f"modality {rec.name!r} holds only its embedding means, which make no file")
         return BundleLayout(
             self.names,
             self.class_names,

@@ -12,12 +12,13 @@ file and line of an error. Matrix files without quotes or carriage returns are f
 file that path rejects goes through ``csv.reader``, on the same text.
 
 Each input is read once: ``_read_hashed`` returns its bytes with their
-sha256 digest, and the readers and ``load_json`` parse the text decoded
-from those bytes where the caller passes it, so a digest in a report's
-``inputs`` describes the very bytes that were parsed. ``load_bundle``
-reads and hashes every file a manifest lists but decodes and parses only
-the kinds the caller asks for, and keeps only the column means of an
-embeddings file; ``read_table`` reads a stored table so, and drops its
+digest from ``sha256_file``, the one place a file is hashed, and the
+readers and ``load_json`` parse the text decoded from those bytes where
+the caller passes it, so a digest in a report's ``inputs`` describes the
+very bytes that were parsed. ``load_bundle`` reads and hashes every file a
+manifest lists but decodes and parses only the kinds the caller asks for,
+and keeps only the column means of an embeddings file. ``read_table``,
+the one reader of a stored accuracy table, reads it so, and drops its
 text once it is parsed.
 
 JSON files are written by ``dump_json``: the bytes of ``json.dump(payload,
@@ -68,10 +69,9 @@ from .encode import CLASS_INDEX_RULE, CONFIDENCE_RULE, Box, DetectionSet, Keypoi
 from .parallel import _each
 
 
-# No program path calls this; it is kept only because perfbench's tracer
-# patches it by name (tracing.CALLS).
-def sha256_file(path) -> str:
-    return _read_hashed(path)[1]
+def sha256_file(path, data: bytes | None = None) -> str:
+    """The sha256 digest of ``data``, the file's bytes where they were read already, else of a read of the file."""
+    return hashlib.sha256(_read_bytes(path) if data is None else data).hexdigest()
 
 
 def _read_bytes(path) -> bytes:
@@ -82,7 +82,7 @@ def _read_bytes(path) -> bytes:
 def _read_hashed(path) -> tuple[bytes, str]:
     """A file's bytes and their sha256 digest, from one read."""
     data = _read_bytes(path)
-    return data, hashlib.sha256(data).hexdigest()
+    return data, sha256_file(path, data)
 
 
 def dump_json(payload, path) -> None:
@@ -385,37 +385,26 @@ def read_labels_csv(path, text: str | None = None) -> tuple[list[str], LabelVect
         raise ValueError(f"{path}: a label is outside the 64-bit integer range") from None
 
 
-def load_table(path, text: str | None = None) -> AccuracyTable:
-    """Read an accuracy table, bare or under the ``table`` key of an ``evaluate`` report.
-
-    ``text`` is the file's text where it was read already.
-    """
-    return _table(path, load_json(path, text))
-
-
-def _table(path, payload) -> AccuracyTable:
-    """The accuracy table in a parsed table file's ``payload``."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: accuracy table file must hold a JSON object")
-    try:
-        return AccuracyTable.from_dict(payload.get("table", payload))
-    except (ValueError, KeyError) as err:
-        raise ValueError(f"{path}: {err.args[0] if err.args else err}") from None
-
-
 def read_table(path) -> tuple[AccuracyTable, str]:
-    """``load_table`` from one read of the file, and the sha256 digest of the bytes it parsed.
+    """A stored accuracy table and the sha256 digest of the bytes it was parsed from.
 
-    Each form of the file is dropped once the next is made: the bytes
-    once they are decoded, the text once ``json.loads`` returns. So the
-    table is built from the parsed payload alone, without the text beside it.
+    The table is bare or under the ``table`` key of an ``evaluate`` report.
+    The file is read once, and each form of it is dropped once the next is
+    made: the bytes once they are decoded, the text once ``json.loads``
+    returns. So the table is built from the parsed payload alone, without
+    the text beside it.
     """
     data, digest = _read_hashed(path)
     text = _json_text(path, data)
     del data
     payload = load_json(path, text)
     del text
-    return _table(path, payload), digest
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: accuracy table file must hold a JSON object")
+    try:
+        return AccuracyTable.from_dict(payload.get("table", payload)), digest
+    except (ValueError, KeyError) as err:
+        raise ValueError(f"{path}: {err.args[0] if err.args else err}") from None
 
 
 @dataclass(frozen=True)
@@ -619,9 +608,11 @@ def write_bundle(bundle, out_dir, dataset: str = "bundle") -> Path:
 
     An existing ``manifest.json`` is removed before the first data file is
     written, and the new one is written after the last, so a write that
-    fails leaves no manifest. A modality's name becomes part of its file
-    names, so a name holding a path separator or NUL, or a name given
-    twice, is rejected before any file is written or removed.
+    fails leaves no manifest. Refused before any file in ``out_dir`` is
+    written or removed are a modality name that holds a path separator or
+    NUL (a name becomes part of its file names), a name given twice, and a
+    modality that holds only its embedding means, as ``load_bundle``
+    returns it: ``layout`` makes no file of them.
     """
     layout = bundle.layout
     names = list(layout.names)
@@ -661,8 +652,6 @@ def write_bundle(bundle, out_dir, dataset: str = "bundle") -> Path:
             write_labels_csv(path, item)
         elif columns is None:
             write_matrix_csv(path, item.scores.values, layout.class_names)
-        elif isinstance(item.embeddings, EmbeddingMeans):  # as load_bundle returns them
-            raise ValueError(f"modality {item.name!r} holds only its embedding means, which make no file")
         else:
             write_matrix_csv(path, item.embeddings.values, columns)
 

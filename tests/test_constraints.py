@@ -5,13 +5,14 @@ thread pool, no ``multiprocessing``, no subprocess. Nothing is configured
 through environment variables. ``fuse`` states each fusion rule apart from
 the sweep's kernels, which the tests hold to it. No module reaches
 ``numpy.polynomial``: ``synth`` stores the quadrature rule it would solve.
+``dataio`` reads a file in one function and hashes in one other.
 """
 
 import ast
 from pathlib import Path
 
 import modselect
-from modselect import fusion
+from modselect import dataio, fusion
 
 FORBIDDEN_IMPORTS = {"threading", "multiprocessing", "concurrent", "subprocess"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
@@ -69,3 +70,26 @@ def test_no_module_reaches_numpy_polynomial():
                 names = {alias.name for alias in node.names}
                 assert not (node.module or "").startswith("numpy.polynomial") and not (
                     node.module == "numpy" and "polynomial" in names), where
+
+
+def _mode(call: ast.Call):
+    """The constant mode string an ``open`` call passes, or None."""
+    given = call.args[1:2] or [k.value for k in call.keywords if k.arg == "mode"]
+    return given[0].value if given and isinstance(given[0], ast.Constant) else None
+
+
+def test_dataio_reads_files_only_in_read_bytes_and_hashes_only_in_sha256_file():
+    # So every digest in a report is sha256_file's, of the bytes _read_bytes read for the parse.
+    tree = ast.parse(Path(dataio.__file__).read_text(encoding="utf-8"))
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            where = f"dataio.py:{getattr(node, 'lineno', '')}"
+            if isinstance(node, ast.Name) and node.id == "hashlib":
+                assert owner == "sha256_file", f"{where} uses hashlib in {owner}"
+            elif isinstance(node, ast.Call) and owner != "_read_bytes":
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                assert name not in {"read_text", "read_bytes"}, f"{where} reads a file in {owner}"
+                if name == "open":
+                    mode = _mode(node)
+                    assert mode and "r" not in mode and "+" not in mode, f"{where} opens a file to read in {owner}"

@@ -129,6 +129,11 @@ def test_raise_if_invalid_lists_violations(rng):
     scores[0] = [0.2, 0.2]
     with pytest.raises(ValueError, match="row not on simplex"):
         validate_bundle(make_bundle([scores])).raise_if_invalid()
+    # 25 in-range rows off the simplex: the first 20 are listed, the rest counted.
+    with pytest.raises(ValueError) as err:
+        validate_bundle(make_bundle([np.full((25, 2), 0.2)])).raise_if_invalid()
+    assert str(err.value).count("row not on simplex") == 20
+    assert str(err.value).endswith("m0[row 19]: row not on simplex (sum=0.4); ... and 5 more")
 
 
 def test_without_labels_strips_only_labels(rng):

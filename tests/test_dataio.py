@@ -1,5 +1,6 @@
 import csv
 import enum
+import errno
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modselect import AccuracyTable, LabelVector, contribution_report, dataio, parallel, sweep
+from modselect.cli import main
 from modselect.dataio import (
     dump_json,
     load_bundle,
@@ -162,6 +164,49 @@ def test_write_bundle_rejects_a_repeated_name(tmp_path, rng):
     assert not any(tmp_path.rglob("*"))
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_write_bundle_refuses_embedding_means_before_it_touches_the_out_dir(tmp_path, bundle, cpus, n_cpus):
+    cpus(n_cpus)
+    manifest = write_bundle(bundle, tmp_path)
+
+    def files():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+
+    before = files()
+    with pytest.raises(ValueError, match="^modality 'good1' holds only its embedding means, which make no file$"):
+        write_bundle(load_bundle(manifest)[0], tmp_path)
+    assert files() == before
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_each_file_read_is_hashed_once_through_sha256_file_with_the_bytes_parsed(
+    tmp_path, monkeypatch, bundle, cpus, n_cpus
+):
+    manifest = write_bundle(bundle, tmp_path / "bundle")
+    table_path = tmp_path / "table.json"
+    dump_json({"schema": 1, "table": _wide_table().to_dict()}, table_path)
+    log = tmp_path / "hashed.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    sha256_file = dataio.sha256_file
+
+    def recording(path, data=None):  # forked children write to the same log
+        digest = sha256_file(path, data)
+        os.write(fd, f"{Path(path).name} {data == Path(path).read_bytes()} {digest}\n".encode())
+        return digest
+
+    cpus(n_cpus)
+    monkeypatch.setattr(dataio, "sha256_file", recording)
+    try:
+        _, digests = load_bundle(manifest)
+        _, table_digest = dataio.read_table(table_path)
+    finally:
+        os.close(fd)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    want = {Path(name).name: digest for name, digest in digests.items()} | {"table.json": table_digest}
+    assert sorted(name for name, _, _ in calls) == sorted(want)
+    assert {name: digest for name, given, digest in calls if given == "True"} == want
+
+
 def test_manifest_errors(tmp_path):
     path = tmp_path / "manifest.json"
     dump_json({"dataset": "x", "class_names": ["a", "b"], "modalities": []}, path)
@@ -180,6 +225,14 @@ def test_manifest_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="duplicate modality"):
         load_manifest(path)
+    # null reads as an absent path, not as a mistyped one
+    absent = {"class_names": ["a", "b"], "modalities": [{"name": "m", "scores_path": "s.csv"}]}
+    dump_json(absent, path)
+    want = load_manifest(path)
+    nulls = {"labels_path": None, "modalities": [{"name": "m", "scores_path": "s.csv", "embeddings_path": None}]}
+    dump_json(absent | nulls, path)
+    assert load_manifest(path) == want
+    assert (want.labels_path, want.modalities[0].embeddings_path) == (None, None)
 
 
 @pytest.mark.parametrize(
@@ -783,6 +836,13 @@ def test_csv_module_errors_name_the_file(tmp_path):
     with pytest.raises(ValueError) as err:
         read_matrix_csv(path)
     assert str(err.value).startswith(f"{path}:2: ")
+    limit = csv.field_size_limit()
+    for read, header in ((read_matrix_csv, "sample_id,a"), (read_labels_csv, "sample_id,label")):
+        path = tmp_path / "long.csv"
+        path.write_text(f'{header}\n"{"1" * (limit + 1)}",1\n')
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:2: field larger than field limit ({limit})"
 
 
 @pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
@@ -857,6 +917,30 @@ def test_each_reruns_the_share_of_a_child_that_sends_nothing(cpus, n_cpus):
     assert_no_children(pid)
     # A result that does not pickle is sent by no child either.
     assert [f() for f in parallel._each(lambda i: (lambda: i), items)] == list(range(7))
+    assert_no_children(pid)
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3, 4])
+def test_each_runs_every_share_in_the_caller_where_no_process_can_be_forked(
+    tmp_path, monkeypatch, bundle, cpus, n_cpus
+):
+    manifest, out = write_bundle(bundle, tmp_path / "bundle"), tmp_path / "table"
+    cpus(1)
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 0
+    one_cpu = [Path(f"{out}.json").read_bytes(), Path(f"{out}.csv").read_bytes()]
+    pid, fds = os.getpid(), len(os.listdir("/proc/self/fd"))
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    cpus(n_cpus)
+    monkeypatch.setattr(os, "fork", no_fork)
+    items = [(i,) for i in range(7)]
+    assert list(parallel._each(square, items)) == [square(*item) for item in items]
+    assert_no_children(pid)
+    assert len(os.listdir("/proc/self/fd")) == fds  # each pipe closed
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert [Path(f"{out}.json").read_bytes(), Path(f"{out}.csv").read_bytes()] == one_cpu
     assert_no_children(pid)
 
 

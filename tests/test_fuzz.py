@@ -14,11 +14,11 @@ from modselect import AccuracyTable
 from modselect.dataio import (
     Manifest,
     load_manifest,
-    load_table,
     read_detections_csv,
     read_keypoints_csv,
     read_labels_csv,
     read_matrix_csv,
+    read_table,
 )
 from modselect.encode import RasterImage, read_pgm
 
@@ -230,7 +230,7 @@ TABLE = {
 def test_table_reader_is_total(tmp_path, payload):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(payload))
-    table = read_or_reject(load_table, path)
+    table = read_or_reject(lambda path: read_table(path)[0], path)
     if table is not None:
         assert isinstance(table, AccuracyTable)
         assert all(isinstance(m, str) for m in table.modalities + table.strategies)
@@ -269,5 +269,5 @@ def test_table_cells_must_be_finite_json_numbers(tmp_path, table, change, field)
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table))  # NaN and -Infinity as Python's json writes them
     with pytest.raises(ValueError) as err:
-        load_table(path)
+        read_table(path)
     assert str(err.value).startswith(f"{path}: accuracy table entry 2: {field} must be a finite number")

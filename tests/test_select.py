@@ -320,6 +320,10 @@ class TestPairsSelect:
         rho = PairMetricMatrix(("solo",), np.ones((1, 1)), np.ones((1, 1), dtype=bool))
         with pytest.raises(ValueError, match="selection needs alternatives"):
             pairs_select(rho, None)
+        rho = _pair_matrix(("a", "b"), {("a", "b"): 0.4, "self": 1.0})
+        mmd = _pair_matrix(("a", "c"), {("a", "c"): 2.0})
+        with pytest.raises(ValueError, match="^pair matrices cover different modalities$"):
+            pairs_select(rho, mmd)
 
 
 class TestRunModselect:
